@@ -22,8 +22,7 @@ race:
 # BENCH_PR<k>.json (auto-numbered from the highest tracked file):
 # balancing runs, direct-vs-jump end-game — plain, strict tie rule, and
 # graph topologies — session churn, direct-vs-sharded dense regime, the
-# sharded-jump composition benches, the allocation-free epoch-loop
-# floor, the rlsweep -scaling speedup-vs-P cells, and the rlsweep
+# allocation-free epoch-loop floor, the rlsweep -scaling speedup-vs-P cells, and the rlsweep
 # -serviceload ServiceLoad* cells (multi-tenant rlsd event→apply p50/p99
 # and throughput). compare_bench.sh diffs the two latest tracked files.
 bench:

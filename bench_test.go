@@ -65,7 +65,6 @@ func BenchmarkExpA2(b *testing.B)   { benchExperiment(b, "A2") }
 func BenchmarkExpA3(b *testing.B)   { benchExperiment(b, "A3") }
 func BenchmarkExpA4(b *testing.B)   { benchExperiment(b, "A4") }
 func BenchmarkExpA5(b *testing.B)   { benchExperiment(b, "A5") }
-func BenchmarkExpA6(b *testing.B)   { benchExperiment(b, "A6") }
 func BenchmarkExpA7(b *testing.B)   { benchExperiment(b, "A7") }
 func BenchmarkExpA8(b *testing.B)   { benchExperiment(b, "A8") }
 func BenchmarkExpO1(b *testing.B)   { benchExperiment(b, "O1") }
@@ -325,87 +324,6 @@ func BenchmarkShardedDense(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedJumpEndGame measures whole UntilPerfect runs at n = m
-// from the all-in-one start — BenchmarkEndGame's regime — for the jump
-// engine vs the sharded jump engine at P = 4 with adaptive epochs. Near
-// balance both skip the same null blocks and the epoch policy floors at
-// ~one event per barrier, so the sharded variant's extra cost is pure
-// barrier reconciliation — since PR 5 incremental (dirty-bin journals in
-// O(changed·Δ) per barrier, not an O(n) stale refresh + table rebuild).
-// Two sizes pin the scaling: the ns/move gap between shardedjump and jump
-// must stay roughly flat as n quadruples, where the old full rebuild grew
-// it linearly. BENCH_PR5.json records both next to the core count.
-func BenchmarkShardedJumpEndGame(b *testing.B) {
-	for _, n := range []int{2048, 8192} {
-		for _, c := range []struct {
-			name string
-			opts []Option
-		}{
-			{"jump", []Option{WithEngineMode(JumpEngine)}},
-			{"shardedjump-P4", []Option{WithEngineMode(ShardedJumpEngine), WithShards(4)}},
-		} {
-			b.Run(fmt.Sprintf("n=m=%d/%s", n, c.name), func(b *testing.B) {
-				var totalActs, totalMoves int64
-				for i := 0; i < b.N; i++ {
-					opts := append([]Option{WithSeed(uint64(i) + 1)}, c.opts...)
-					res, err := New(n, n, opts...).Run()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !res.Reached {
-						b.Fatal("did not balance")
-					}
-					totalActs += res.Activations
-					totalMoves += res.Moves
-				}
-				b.ReportMetric(float64(totalActs)/float64(b.N), "activations/run")
-				b.ReportMetric(float64(totalMoves)/float64(b.N), "moves/run")
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(totalMoves), "ns/move")
-			})
-		}
-	}
-}
-
-// BenchmarkShardedJumpDenseToSparse measures a whole dense→sparse run —
-// one-choice start at m = 4n, UntilPerfect — across the engines that
-// claim (part of) it: the sharded engine owns the dense phase but burns
-// per-activation work in the long converged tail, the jump engine owns
-// the tail but is single-threaded, and the sharded jump engine's
-// adaptive epochs are meant to cover both in one run. Shards need ≥ P
-// hardware threads to pay off, as recorded in BENCH_PR4.json.
-func BenchmarkShardedJumpDenseToSparse(b *testing.B) {
-	const n, m = 1024, 4096
-	for _, c := range []struct {
-		name string
-		opts []Option
-	}{
-		{"sharded-P4", []Option{WithEngineMode(ShardedEngine), WithShards(4)}},
-		{"jump", []Option{WithEngineMode(JumpEngine)}},
-		{"shardedjump-P4", []Option{WithEngineMode(ShardedJumpEngine), WithShards(4)}},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			var totalActs, totalMoves int64
-			for i := 0; i < b.N; i++ {
-				opts := append([]Option{
-					WithSeed(uint64(i) + 1),
-					WithPlacement(Random()),
-				}, c.opts...)
-				res, err := New(n, m, opts...).Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Reached {
-					b.Fatal("did not balance")
-				}
-				totalActs += res.Activations
-				totalMoves += res.Moves
-			}
-			b.ReportMetric(float64(totalActs)/float64(b.N), "activations/run")
-			b.ReportMetric(float64(totalMoves)/float64(b.N), "moves/run")
-		})
-	}
-}
-
 // BenchmarkSessionChurnCycle measures a join/leave/rebalance churn cycle
 // through the Session API.
 func BenchmarkSessionChurnCycle(b *testing.B) {
@@ -506,7 +424,7 @@ func TestBenchmarkIDsMatchRegistry(t *testing.T) {
 	have := []string{
 		"F1", "F2", "F3", "T1", "T2", "LB1", "LB2", "DML",
 		"P1", "P2", "P3", "L8", "L9", "L16", "CMP1", "CMP2", "CMP3",
-		"X1", "X2", "X3", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "O1",
+		"X1", "X2", "X3", "A1", "A2", "A3", "A4", "A5", "A7", "A8", "O1",
 	}
 	if len(have) != len(want) {
 		t.Fatalf("bench list has %d, registry %d", len(have), len(want))

@@ -95,6 +95,13 @@ func run(svc *service.Service, cfg daemonConfig, ready chan<- string, logger *lo
 		}
 		logger.Printf("rlsd: restored %d sessions from %s", n, cfg.stateDir)
 	}
+	// Install the signal handler before the listener exists, so a signal
+	// that arrives as soon as the address is reachable still drains
+	// instead of killing an unhandled process.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
@@ -114,10 +121,6 @@ func run(svc *service.Service, cfg daemonConfig, ready chan<- string, logger *lo
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
 
 	// Periodic tenant snapshots bound how much history a crash (as
 	// opposed to a clean SIGTERM) can lose.

@@ -61,8 +61,8 @@ func TestRestartRestoresTenants(t *testing.T) {
 	svc1 := service.New(service.Config{StateDir: dir})
 	base, done := bootDaemon(t, svc1, cfg)
 
-	ids := make([]string, 0, 4)
-	for i, engine := range [...]string{"direct", "jump", "sharded", "shardedjump"} {
+	ids := make([]string, 0, 3)
+	for i, engine := range [...]string{"direct", "jump", "sharded"} {
 		body := fmt.Sprintf(`{"bins": 32, "balls": 96, "seed": %d, "engine": %q}`, i+1, engine)
 		resp, err := http.Post(base+"/v1/sessions", "application/json", strings.NewReader(body))
 		if err != nil {

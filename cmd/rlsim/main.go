@@ -14,7 +14,6 @@
 //	rlsim -n 4096 -m 8192 -engine jump -topology expander
 //	rlsim -n 4096 -m 16384 -engine jump -topology random-16-regular -graphsampler rejection
 //	rlsim -n 65536 -m 65536 -placement random -engine sharded -shards 4 -target time=8
-//	rlsim -n 4096 -m 16384 -placement random -engine shardedjump -shards 4
 //	rlsim -n 4096 -m 4096 -engine jump -cpuprofile cpu.pprof
 package main
 
@@ -43,8 +42,8 @@ func main() {
 		gsampler  = flag.String("graphsampler", "auto", "jump-engine graph sampler: auto|exact|rejection (needs -engine jump and a graph -topology)")
 		speeds    = flag.String("speeds", "", "bin speed profile: uniform|bimodal|powerlaw (empty = unit speeds)")
 		strict    = flag.Bool("strict", false, "use the strict (>) tie rule of [12]/[11]")
-		engine    = flag.String("engine", "direct", "engine mode: direct (per-activation) | jump (rejection-free) | sharded (parallel) | shardedjump (parallel rejection-free)")
-		shards    = flag.Int("shards", 0, "sharded engine worker count P (0 = default); only with -engine sharded|shardedjump")
+		engine    = flag.String("engine", "direct", "engine mode: direct (per-activation) | jump (rejection-free) | sharded (parallel)")
+		shards    = flag.Int("shards", 0, "sharded engine worker count P (0 = default); only with -engine sharded")
 		trace     = flag.Int64("trace", 0, "print a trace point every K activations (0 = off)")
 		plot      = flag.Bool("plot", true, "render initial/final configurations as ASCII bars")
 		csv       = flag.Bool("csv", false, "emit the trace as CSV instead of a table (implies -trace)")
@@ -187,16 +186,11 @@ func run(n, m int, seed uint64, placement, target, topology, gsampler, speeds, e
 		if shards != 0 {
 			opts = append(opts, rls.WithShards(shards))
 		}
-	case "shardedjump":
-		opts = append(opts, rls.WithEngineMode(rls.ShardedJumpEngine))
-		if shards != 0 {
-			opts = append(opts, rls.WithShards(shards))
-		}
 	default:
 		return fmt.Errorf("unknown engine mode %q", engine)
 	}
-	if shards != 0 && engine != "sharded" && engine != "shardedjump" {
-		return fmt.Errorf("-shards requires -engine sharded or shardedjump")
+	if shards != 0 && engine != "sharded" {
+		return fmt.Errorf("-shards requires -engine sharded")
 	}
 
 	switch placement {

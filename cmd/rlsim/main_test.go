@@ -127,17 +127,6 @@ func TestRunShardedEngine(t *testing.T) {
 	}
 }
 
-func TestRunShardedJumpEngine(t *testing.T) {
-	for _, p := range []int{0, 1, 2} {
-		if err := run(8, 64, 1, "random", "perfect", "complete", "auto", "", "shardedjump", p, false, 0, false, false); err != nil {
-			t.Errorf("shards=%d: %v", p, err)
-		}
-	}
-	if err := run(8, 64, 1, "random", "time=1", "complete", "auto", "", "shardedjump", 2, false, 20, false, true); err != nil {
-		t.Errorf("shardedjump trace: %v", err)
-	}
-}
-
 func TestRunShardedRejectsBadCombos(t *testing.T) {
 	cases := map[string]func() error{
 		"sharded+topology": func() error {
@@ -149,8 +138,8 @@ func TestRunShardedRejectsBadCombos(t *testing.T) {
 		"shards without sharded engine": func() error {
 			return run(16, 64, 1, "random", "perfect", "complete", "auto", "", "direct", 2, false, 0, false, false)
 		},
-		"shardedjump+strict": func() error {
-			return run(16, 64, 1, "random", "perfect", "complete", "auto", "", "shardedjump", 2, true, 0, false, false)
+		"removed shardedjump engine": func() error {
+			return run(16, 64, 1, "random", "perfect", "complete", "auto", "", "shardedjump", 2, false, 0, false, false)
 		},
 	}
 	for name, fn := range cases {

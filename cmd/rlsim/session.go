@@ -57,8 +57,6 @@ func runSession(sf sessionFlags, n, m int, seed uint64, placement, target, topol
 			opts = append(opts, rls.WithSessionEngineMode(rls.JumpEngine))
 		case "sharded":
 			opts = append(opts, rls.WithSessionEngineMode(rls.ShardedEngine))
-		case "shardedjump":
-			opts = append(opts, rls.WithSessionEngineMode(rls.ShardedJumpEngine))
 		default:
 			return fmt.Errorf("unknown engine mode %q", engine)
 		}

@@ -21,7 +21,7 @@
 //
 // # Engine modes
 //
-// Runs execute in one of four modes, selected with WithEngineMode (and
+// Runs execute in one of three modes, selected with WithEngineMode (and
 // WithSessionEngineMode for sessions):
 //
 //   - DirectEngine (default) simulates every activation: an Exp(m) time
@@ -74,30 +74,10 @@
 //     phases that re-check the RLS rule against live loads. A per-barrier
 //     reconciliation folds the shard histograms into the global min/max/
 //     discrepancy view serving the stop conditions.
-//   - ShardedJumpEngine composes the two accelerations: the shard/epoch/
-//     barrier structure of ShardedEngine with per-shard level indices, so
-//     each worker skips its null activations in geometric blocks. A
-//     shard's eventful-activation weight is its local move weight W_s
-//     plus an external weight X_s = Σ_v v·count_s[v]·S_s(v−1), where
-//     S_s(w) counts other shards' bins at stale-snapshot load ≤ w —
-//     exactly the population the cross-shard proposal filter admits — so
-//     each drawn event is either a local move (applied immediately) or a
-//     queued proposal, and everything in between is one Geometric/Erlang
-//     draw. Epochs adapt to the folded move weight (FoldedStats.W):
-//     activation-sized when dense, shrinking with the move rate, floored
-//     at ~one expected event — so one run covers the dense regime
-//     (parallel wins) and the end-game (jump wins) without picking a
-//     mode per regime; WithShardEpoch overrides the policy with a fixed
-//     length. Blocks are truncated exactly at epoch and time horizons
-//     (the remaining nulls are one thinned Poisson draw), so
-//     time-targeted runs stop at exactly the target. Barriers reconcile
-//     the stale snapshot and the external tables *incrementally*: shards
-//     journal the bins they mutate, and each barrier replays the
-//     journals as deltas (loadvec.StaleIndex bucket moves plus an
-//     ExternalPrefixUpdated window per peer shard) in O(changed·P·Δ)
-//     instead of an O(n + P·Δ) rebuild — so the end-game's per-move
-//     barriers cost O(P·Δ), not O(n), and the mode stays competitive in
-//     the sparse regime rather than being a dense-only trick.
+//
+// EngineMode value 3 is reserved for a removed sharded jump mode, which
+// paid one barrier per end-game move and lost to JumpEngine on every
+// measured workload; artifacts that name it fail to decode.
 //
 // Direct and jump induce the identical law on every quantity observed at
 // moves — balancing times, phase-crossing times, move counts, final
@@ -110,28 +90,24 @@
 // per-activation traces coarsen to per-move blocks and time- or
 // activation-targeted stops may overshoot by one block.
 //
-// The sharded engines' law matches the sequential process up to their
+// The sharded engine's law matches the sequential process up to its
 // epoch granularity: cross-shard moves land at barriers rather than
 // mid-epoch, so stop conditions, traces, and the phase times coarsen to
 // epochs (WithShardEpoch tunes the fidelity/throughput trade-off), and
-// experiments A5 (sharded) and A6 (sharded jump) KS-validate the
-// balancing-time laws against DirectEngine at fine epochs. With one
-// shard there is no deferral at all: P = 1 runs the corresponding
-// sequential engine's exact loop on the root stream and its fixed-seed
-// output is byte-identical — direct for ShardedEngine, jump for
-// ShardedJumpEngine; the equivalence tests pin both.
+// experiment A5 KS-validates the balancing-time law against
+// DirectEngine at fine epochs. With one shard there is no deferral at
+// all: P = 1 runs the direct engine's exact loop on the root stream and
+// its fixed-seed output is byte-identical; the equivalence tests pin it.
 //
 // # Shard repartitioning
 //
 // A static contiguous partition load-imbalances as mass drains toward a
 // few bins: the shard owning them ends up with nearly all the event
-// weight while its peers idle at the barrier. The sharded engines
-// therefore rebalance their range boundaries at epoch barriers,
+// weight while its peers idle at the barrier. The sharded engine
+// therefore rebalances its range boundaries at epoch barriers,
 // work-stealing style. The policy is cheap-by-default: an O(P) trigger
-// fires only when the heaviest shard's event-weight share exceeds 3/2
-// of fair (weights: ball mass for ShardedEngine; W_s + X_s, the
-// jump-chain event rate, for ShardedJumpEngine), a full O(n)
-// weighted-prefix split (loadvec.BalancedCuts over per-bin weights) is
+// fires only when the heaviest shard's ball-mass share exceeds 3/2 of
+// fair, a full O(n) weighted-prefix split (loadvec.BalancedCuts over per-bin weights) is
 // further gated by exponential backoff (8 → 1024 barriers) and only
 // adopted when it shaves at least 1/8 off the maximum shard weight, and
 // a migration rebuilds only the shards whose range changed — from the
@@ -145,7 +121,7 @@
 // equivalences above are untouched.
 //
 // Time targets: DirectEngine stops at the first activation on or past
-// the target (a ~Exp(m) overshoot); the jump modes clamp their final
+// the target (a ~Exp(m) overshoot); the jump engine clamps its final
 // block so UntilTime runs report exactly the target time, with the
 // truncated block's null activations tallied by an exact thinned Poisson
 // draw.
@@ -162,23 +138,19 @@
 //     BenchmarkGraphEndGame, BenchmarkGraphDense).
 //   - whole runs crossing regimes (dense start, converged tail), or
 //     long-lived sessions alternating churn bursts with quiet stretches:
-//     ShardedJumpEngine — adaptive epochs slide between the two
-//     (BenchmarkShardedJumpDenseToSparse tracks it; it simulates fewer
-//     activations than ShardedEngine on the same span and its event
-//     work parallelizes across the shards).
+//     JumpEngine — the converged stretches dominate the cost, and only
+//     the jump engine skips them.
 //   - heterogeneous speeds or exact per-activation trajectories:
 //     DirectEngine, the only mode that supports every option.
 //
-// Shards × engine-mode composition matrix: WithShards composes with
-// ShardedEngine (per-activation shards) and ShardedJumpEngine
-// (rejection-free shards); DirectEngine and JumpEngine are their P = 1
-// sequential bases. Every cell of the matrix is now filled. Along the
-// protocol-variant axis, DirectEngine accepts everything (strict tie
-// rule, topologies, speeds); JumpEngine accepts the strict tie rule
-// and regular topologies (not together, and not speeds); the sharded
-// modes run plain RLS on the complete topology only.
+// WithShards composes with ShardedEngine only; DirectEngine is its
+// P = 1 sequential base. Along the protocol-variant axis, DirectEngine
+// accepts everything (strict tie rule, topologies, speeds); JumpEngine
+// accepts the strict tie rule and regular topologies (not together, and
+// not speeds); ShardedEngine runs plain RLS on the complete topology
+// only.
 //
-// Every cell of that matrix is also checkpointable: Session.Snapshot
+// Every mode is also checkpointable: Session.Snapshot
 // writes the full engine state — loads, per-ball structures, level
 // indices, shard partitions, and the exact RNG stream positions — as a
 // versioned, CRC-framed binary artifact, and ResumeSession rebuilds a
@@ -196,7 +168,7 @@
 // both artifact kinds).
 //
 // Concurrency: a Runner is single-use single-goroutine, but a Session —
-// in every cell of the matrix — is safe for concurrent callers. Each
+// in every mode — is safe for concurrent callers. Each
 // Session method serializes on one internal mutex; the Run* methods hold
 // it for the whole simulated stretch, so concurrent churn and stats
 // calls block until the run returns (split long horizons into short
@@ -210,7 +182,7 @@
 // lives in internal/harness and is driven by cmd/rlsweep, cmd/rlsfigs and
 // the benchmarks in bench_test.go (`go run ./cmd/rlsweep -list`
 // enumerates it; cmd/README.md documents the tools). README.md is the
-// project front door — quickstart, the engine-mode matrix, the examples
+// project front door — quickstart, the engine modes, the examples
 // tour, and the benchmark methodology. `make bench` records the tracked
 // perf trajectory into the next BENCH_PR*.json, including the `rlsweep
 // -scaling` speedup-vs-P study (`make scaling` prints it standalone);

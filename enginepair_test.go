@@ -9,7 +9,7 @@ import (
 // This file adapts the Runner to internal/testutil's differential
 // harness and hosts the shared placement × target grid every
 // byte-identical engine pair is pinned over. The P = 1 sharded pins in
-// sharded_test.go / shardedjump_test.go and the graph-sampler pins below
+// sharded_test.go and the graph-sampler pins below
 // all instantiate the same grid instead of hand-rolling comparison
 // loops.
 

@@ -8,11 +8,9 @@ import "fmt"
 // count, discrepancy — is *folded* from the per-shard histograms instead
 // of being recomputed from a concatenated load vector. Folding is O(P)
 // for P shards because every input is already maintained incrementally:
-// each Config tracks its own min/max/m per move, the level index tracks
-// W_s in O(log Δ) per transition, and the external weight X_s follows the
-// stale census through ExternalPrefixUpdated deltas (see StaleIndex) — so
-// a barrier's whole FoldedStats refresh reads P structs and never rebuilds
-// or rescans a load vector.
+// each Config tracks its own min/max/m per move — so a barrier's whole
+// FoldedStats refresh reads P structs and never rebuilds or rescans a
+// load vector.
 
 // Partition splits a load vector into parts contiguous, near-equal bin
 // ranges (range i is [i·n/parts, (i+1)·n/parts)), each returned as an
@@ -106,9 +104,8 @@ func ValidateCuts(cuts []int, n int) error {
 // per-bin weights: boundary j sits at the smallest bin where the weight
 // prefix reaches j/parts of the total, subject to every part owning at
 // least one bin. This is the repartitioning policy's placement step — the
-// sharded engine passes per-bin ball counts (activation mass) or per-bin
-// eventful-move weights, computes new cuts at an epoch barrier, and
-// migrates the boundary bins. The result is a pure function of (weights,
+// sharded engine passes per-bin ball counts (activation mass), computes
+// new cuts at an epoch barrier, and migrates the boundary bins. The result is a pure function of (weights,
 // parts), which is what keeps repartitioned runs reproducible from a
 // fixed seed. Weights must be nonnegative; it panics unless
 // 1 ≤ parts ≤ len(weights).
@@ -147,18 +144,9 @@ func BalancedCuts(weights []int64, parts int) []int {
 // bin count, ball count, and extreme loads of the union of the per-shard
 // configurations, from which the global discrepancy and the balance
 // stop conditions follow. The zero value describes an empty system.
-//
-// W additionally folds the per-shard move weights for level-indexed
-// shards (the sharded jump engine): each shard contributes its local
-// productive-pair mass W_s = Σ_v v·count_s[v]·C_s(v−1) plus its external
-// mass X_s against the stale cross-shard census (both maintained
-// incrementally, X_s via ExternalPrefixUpdated at barriers). ΣW_s+X_s is
-// the folded event rate driving the adaptive epoch policy; shards without
-// a level index contribute 0.
 type FoldedStats struct {
 	N, M     int
 	Min, Max int
-	W        int64
 }
 
 // FoldStats folds per-shard Configs into the global stats in O(P). It
@@ -176,9 +164,6 @@ func FoldStats(parts ...*Config) FoldedStats {
 		}
 		if c.Max() > f.Max {
 			f.Max = c.Max()
-		}
-		if c.LevelIndexed() {
-			f.W += c.MoveWeight() + c.ExternalMoveWeight()
 		}
 	}
 	return f

@@ -46,18 +46,6 @@ type levelIndex struct {
 	sval   []int64       // current s[v] values (to derive Fenwick deltas)
 	wTotal int64         // W = Σ_v s[v]
 	size   int           // number of indexed levels (levels 0..size-1)
-
-	// External-destination extension (SetExternalPrefix): the sharded jump
-	// engine treats the bins of *other* shards, at their stale snapshot
-	// loads, as an extra destination population. extP(w) counts the
-	// external bins with load ≤ w; the xw tree then maintains
-	// x[v] = v·count[v]·extP(v−1) — the external analogue of s[v] — under
-	// the same level transitions. extP does not depend on local counts, so
-	// a transition only dirties x at the two touched levels.
-	extP   func(w int) int64 // nil unless an external prefix is installed
-	xw     *fenwick.Tree     // x[v]
-	xval   []int64           // current x[v] values
-	xTotal int64             // X = Σ_v x[v]
 }
 
 // newLevelIndex builds the index for the configuration's current state
@@ -108,34 +96,6 @@ func (x *levelIndex) rebuildTrees() {
 		if x.sval[v] != 0 {
 			x.mvw.Add(v, x.sval[v])
 			x.wTotal += x.sval[v]
-		}
-	}
-	if x.extP != nil {
-		x.rebuildExternal()
-	}
-}
-
-// rebuildExternal rederives the external-weight tree from the binsAt lists
-// and the installed prefix; called when the prefix changes (every shard
-// barrier) and when the level range grows.
-func (x *levelIndex) rebuildExternal() {
-	x.xw = fenwick.New(x.size)
-	if len(x.xval) < x.size {
-		x.xval = make([]int64, x.size)
-	} else {
-		for i := range x.xval {
-			x.xval[i] = 0
-		}
-	}
-	x.xTotal = 0
-	for v, lst := range x.binsAt {
-		if v == 0 || len(lst) == 0 {
-			continue
-		}
-		if s := int64(v) * int64(len(lst)) * x.extP(v-1); s != 0 {
-			x.xval[v] = s
-			x.xw.Add(v, s)
-			x.xTotal += s
 		}
 	}
 }
@@ -194,10 +154,6 @@ func (x *levelIndex) transition(bin, from, to int) {
 			x.refreshWeight(u)
 		}
 	}
-	if x.extP != nil {
-		x.refreshExternal(from)
-		x.refreshExternal(to)
-	}
 }
 
 // refreshWeight recomputes s[v] = v·count[v]·C(v−gap) from the live
@@ -216,23 +172,6 @@ func (x *levelIndex) refreshWeight(v int) {
 	}
 }
 
-// refreshExternal recomputes x[v] = v·count[v]·extP(v−1) and applies the
-// difference as a point update; the external prefix is fixed between
-// barriers, so only count changes (level transitions) can dirty x.
-func (x *levelIndex) refreshExternal(v int) {
-	var s int64
-	if v > 0 {
-		if cn := int64(len(x.binsAt[v])); cn > 0 {
-			s = int64(v) * cn * x.extP(v-1)
-		}
-	}
-	if d := s - x.xval[v]; d != 0 {
-		x.xw.Add(v, d)
-		x.xval[v] = s
-		x.xTotal += d
-	}
-}
-
 // clone returns an independent deep copy of the index.
 func (x *levelIndex) clone() *levelIndex {
 	cp := &levelIndex{
@@ -245,12 +184,6 @@ func (x *levelIndex) clone() *levelIndex {
 		sval:   append([]int64(nil), x.sval...),
 		wTotal: x.wTotal,
 		size:   x.size,
-		extP:   x.extP, // shared: the prefix reads caller-owned snapshot state
-		xval:   append([]int64(nil), x.xval...),
-		xTotal: x.xTotal,
-	}
-	if x.xw != nil {
-		cp.xw = x.xw.Clone()
 	}
 	for v, lst := range x.binsAt {
 		if len(lst) > 0 {
@@ -331,102 +264,6 @@ func (c *Config) SampleMovePair(r *rng.RNG) (src, dst int) {
 	return src, dst
 }
 
-// SetExternalPrefix installs (or, with nil, removes) an external
-// destination population on the level index: ext(w) must return the
-// number of external bins — bins outside this configuration, at whatever
-// reference loads the caller fixes, e.g. another shard's stale snapshot —
-// with load ≤ w, monotone in w and constant until the next call. The
-// index then maintains X = Σ_v v·count[v]·ext(v−1) incrementally, the
-// external analogue of the move weight W: X/(m·n_total) is the
-// probability that a uniform activation proposes a move onto an external
-// bin that passes the load filter. Installation costs one pass over the
-// indexed levels; it panics unless the level index is enabled.
-func (c *Config) SetExternalPrefix(ext func(w int) int64) {
-	if c.idx == nil {
-		panic("loadvec: SetExternalPrefix without EnableLevelIndex")
-	}
-	if ext != nil && c.idx.gap != 1 {
-		// The sharded engines that consume the external extension run plain
-		// RLS only; the x-tree hard-codes the ext(v−1) prefix shift.
-		panic("loadvec: external prefix requires the plain tie rule")
-	}
-	c.idx.extP = ext
-	if ext == nil {
-		c.idx.xw = nil
-		for i := range c.idx.xval {
-			c.idx.xval[i] = 0
-		}
-		c.idx.xTotal = 0
-		return
-	}
-	c.idx.rebuildExternal()
-}
-
-// ExternalPrefixUpdated tells the level index that the installed external
-// prefix's values may have changed for arguments w ∈ [lo, hi] — and only
-// there — and refreshes the affected external weights x[v] =
-// v·count[v]·ext(v−1), i.e. v ∈ [lo+1, hi+1], in O((hi−lo)·log Δ). It is
-// the delta counterpart of reinstalling the prefix with SetExternalPrefix,
-// which pays a full pass over the indexed levels: when one external bin's
-// reference load moves from a to b, ext changes only on
-// [min(a,b), max(a,b)−1], so the sharded jump engine's barriers advertise
-// exactly that window per reconciled bin instead of rebuilding every
-// shard's external tree. The prefix function itself must already return
-// the new values when this is called. With no external prefix installed it
-// is a no-op; it panics unless the level index is enabled.
-func (c *Config) ExternalPrefixUpdated(lo, hi int) {
-	if c.idx == nil {
-		panic("loadvec: ExternalPrefixUpdated without EnableLevelIndex")
-	}
-	x := c.idx
-	if x.extP == nil {
-		return
-	}
-	v0, v1 := lo+1, hi+1
-	if v0 < 1 {
-		v0 = 1
-	}
-	if v1 >= x.size {
-		// Levels past the indexed range hold no bins (count 0 ⇒ x[v] = 0).
-		v1 = x.size - 1
-	}
-	for v := v0; v <= v1; v++ {
-		x.refreshExternal(v)
-	}
-}
-
-// ExternalMoveWeight returns X = Σ_v v·count[v]·ext(v−1) for the
-// installed external prefix, or 0 when none is installed. It panics
-// unless the level index is enabled.
-func (c *Config) ExternalMoveWeight() int64 {
-	if c.idx == nil {
-		panic("loadvec: ExternalMoveWeight without EnableLevelIndex")
-	}
-	return c.idx.xTotal
-}
-
-// SampleExternalMove draws a proposal onto the external population with
-// the jump chain's law: P(src at level v) ∝ v·count[v]·ext(v−1), src
-// uniform within the level, and j uniform over [0, ext(v−1)) — the
-// caller maps j onto its concrete external bin with load ≤ v−1. It
-// panics if no external prefix is installed or X = 0.
-func (c *Config) SampleExternalMove(r *rng.RNG) (src int, j int64) {
-	x := c.idx
-	if x == nil || x.extP == nil {
-		panic("loadvec: SampleExternalMove without an external prefix")
-	}
-	if x.xTotal <= 0 {
-		panic("loadvec: SampleExternalMove with zero external weight")
-	}
-	v, rem := x.xw.Find(r.Int63n(x.xTotal))
-	ext := x.extP(v - 1)
-	cn := int64(len(x.binsAt[v]))
-	// rem is uniform over [0, v·cn·ext); folding out the ball-multiplicity
-	// factor v leaves a uniform (bin, external index) pair.
-	q := rem % (cn * ext)
-	return int(x.binsAt[v][q/ext]), q % ext
-}
-
 // SampleBallBin returns the bin of a uniformly random ball (bins sampled
 // proportionally to load, uniform within a level) in O(log Δ) without any
 // per-ball state. It panics if the index is disabled or no balls exist.
@@ -459,7 +296,7 @@ func (c *Config) validateIndex() error {
 		}
 	}
 	var total int
-	var wTotal, xTotal int64
+	var wTotal int64
 	var cum, cumPrev int64 // C(v−1) and C(v−2), tracked independently
 	for v := 0; v < x.size; v++ {
 		cn := len(x.binsAt[v])
@@ -484,19 +321,6 @@ func (c *Config) validateIndex() error {
 		if got := x.mvw.Prefix(v) - x.mvw.Prefix(v-1); got != want {
 			return fmt.Errorf("loadvec: mvw tree at %d = %d, want %d", v, got, want)
 		}
-		if x.extP != nil {
-			wantX := int64(0)
-			if v > 0 && cn > 0 {
-				wantX = int64(v) * int64(cn) * x.extP(v-1)
-			}
-			if x.xval[v] != wantX {
-				return fmt.Errorf("loadvec: xval[%d] = %d, want %d", v, x.xval[v], wantX)
-			}
-			if got := x.xw.Prefix(v) - x.xw.Prefix(v-1); got != wantX {
-				return fmt.Errorf("loadvec: xw tree at %d = %d, want %d", v, got, wantX)
-			}
-			xTotal += wantX
-		}
 		cumPrev = cum
 		cum += int64(cn)
 		wTotal += want
@@ -506,9 +330,6 @@ func (c *Config) validateIndex() error {
 	}
 	if x.wTotal != wTotal {
 		return fmt.Errorf("loadvec: cached W = %d, fresh %d", x.wTotal, wTotal)
-	}
-	if x.extP != nil && x.xTotal != xTotal {
-		return fmt.Errorf("loadvec: cached X = %d, fresh %d", x.xTotal, xTotal)
 	}
 	return nil
 }

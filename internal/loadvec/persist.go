@@ -6,11 +6,11 @@ import (
 
 // This file is loadvec's half of the snapshot codec. The byte-identical
 // resume contract dictates what is serialized verbatim versus rebuilt:
-// the per-level bin *lists* (binsAt, the census buckets) evolved under
-// swap-deletes, so their element order is simulation state and ships
-// verbatim; the Fenwick trees, position indices, and histogram stats
-// are pure functions of those lists and are rederived on decode via the
-// same rebuildTrees/rebuildCounts paths the live structures use — so a
+// the per-level bin *lists* (binsAt) evolved under swap-deletes, so their
+// element order is simulation state and ships verbatim; the Fenwick
+// trees, position indices, and histogram stats are pure functions of
+// those lists and are rederived on decode via the same rebuildTrees path
+// the live structures use — so a
 // decoded index is indistinguishable from one that never left memory,
 // with no rebuild-from-scratch divergence.
 
@@ -33,8 +33,7 @@ func (c *Config) EncodeState(e *persist.Enc) {
 
 // DecodeConfigState reads a Config written by EncodeState. The
 // histogram and all trees are rebuilt from the loads and the verbatim
-// level lists; an installed external prefix is not part of the payload
-// (the sharded engine reinstalls it after restoring its census).
+// level lists.
 func DecodeConfigState(d *persist.Dec) (*Config, error) {
 	loads := d.Ints()
 	if d.Err() != nil {
@@ -104,81 +103,4 @@ func DecodeConfigState(d *persist.Dec) (*Config, error) {
 	x.rebuildTrees()
 	c.idx = x
 	return c, nil
-}
-
-// Cuts returns a copy of the census's partition boundaries; the sharded
-// engine cross-checks them against its own cuts when restoring a
-// snapshot.
-func (x *StaleIndex) Cuts() []int { return append([]int(nil), x.cuts...) }
-
-// EncodeState appends the census to the payload: shape, cuts, and the
-// verbatim bucket lists. The count trees are derived state and are
-// rebuilt on decode.
-func (x *StaleIndex) EncodeState(e *persist.Enc) {
-	e.Int(x.n)
-	e.Int(x.parts)
-	e.Ints(x.cuts)
-	e.Int(x.levels)
-	for _, b := range x.at {
-		e.I32s(b)
-	}
-}
-
-// DecodeStaleIndex reads a census written by EncodeState, revalidating
-// the partition and bucket membership so corrupt input can never build
-// an index that panics later.
-func DecodeStaleIndex(d *persist.Dec) (*StaleIndex, error) {
-	n := d.Int()
-	parts := d.Int()
-	cuts := d.Ints()
-	levels := d.Int()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if n < 1 || parts < 1 || parts > n {
-		return nil, persist.Corruptf("stale census over %d bins in %d parts", n, parts)
-	}
-	if len(cuts) != parts+1 {
-		return nil, persist.Corruptf("stale census with %d cuts for %d parts", len(cuts), parts)
-	}
-	if err := ValidateCuts(cuts, n); err != nil {
-		return nil, persist.Corruptf("stale census cuts: %v", err)
-	}
-	if levels < 4 || levels&(levels-1) != 0 || levels*parts > d.Remaining() {
-		return nil, persist.Corruptf("stale census with %d levels × %d parts in %d bytes", levels, parts, d.Remaining())
-	}
-	x := &StaleIndex{
-		n:      n,
-		parts:  parts,
-		cuts:   cuts,
-		levels: levels,
-		at:     make([][]int32, levels*parts),
-		pos:    make([]int32, n),
-	}
-	seen := make([]bool, n)
-	total := 0
-	for b := range x.at {
-		lst := d.I32s()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		p := b % parts
-		for i, bin := range lst {
-			if bin < 0 || int(bin) >= n || seen[bin] {
-				return nil, persist.Corruptf("census bucket holds invalid or duplicate bin %d", bin)
-			}
-			if CutsOwner(cuts, int(bin)) != p {
-				return nil, persist.Corruptf("bin %d bucketed under part %d but owned by %d", bin, p, CutsOwner(cuts, int(bin)))
-			}
-			seen[bin] = true
-			x.pos[bin] = int32(i)
-			total++
-		}
-		x.at[b] = lst
-	}
-	if total != n {
-		return nil, persist.Corruptf("census buckets hold %d bins, want %d", total, n)
-	}
-	x.rebuildCounts()
-	return x, nil
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -76,17 +77,15 @@ func (s *Service) normalize(cfg sessionConfig) (sessionConfig, []rls.SessionOpti
 		opts = append(opts, rls.WithSessionEngineMode(rls.JumpEngine))
 	case "sharded":
 		opts = append(opts, rls.WithSessionEngineMode(rls.ShardedEngine))
-	case "shardedjump":
-		opts = append(opts, rls.WithSessionEngineMode(rls.ShardedJumpEngine))
 	default:
-		return bad("unknown engine %q (want direct|jump|sharded|shardedjump)", cfg.Engine)
+		return bad("unknown engine %q (want direct|jump|sharded)", cfg.Engine)
 	}
-	sharded := cfg.Engine == "sharded" || cfg.Engine == "shardedjump"
+	sharded := cfg.Engine == "sharded"
 	if cfg.Shards < 0 {
 		return bad("shards must be >= 0 (got %d)", cfg.Shards)
 	}
 	if cfg.Shards > 0 && !sharded {
-		return bad("shards requires engine sharded or shardedjump")
+		return bad("shards requires engine sharded")
 	}
 	if cfg.Shards > 0 {
 		opts = append(opts, rls.WithSessionShards(cfg.Shards))
@@ -189,13 +188,26 @@ func writeError(w http.ResponseWriter, herr *httpError) {
 	writeJSON(w, herr.status, map[string]string{"error": herr.msg})
 }
 
+// eventBodyBytes is the request-body allowance per event: a few times the
+// longest well-formed event ({"op": "run_to_perfect", "budget": …}), so
+// no legal batch comes near it.
+const eventBodyBytes = 256
+
 // decodeStrict decodes one JSON body, rejecting unknown fields and
 // trailing garbage — config typos fail loudly instead of silently
-// defaulting.
-func decodeStrict(r *http.Request, v any) *httpError {
-	dec := json.NewDecoder(r.Body)
+// defaulting. The body is capped at (MaxBatch+1)·eventBodyBytes — a full
+// batch plus one event's worth for the envelope or a session config — so
+// an oversized body fails with 413 as soon as the cap is read, before the
+// whole array is in memory.
+func (s *Service) decodeStrict(w http.ResponseWriter, r *http.Request, v any) *httpError {
+	limit := int64(s.cfg.MaxBatch+1) * eventBodyBytes
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return &httpError{status: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf("request body exceeds %d bytes", limit)}
+		}
 		return &httpError{status: 400, msg: "malformed request body: " + err.Error()}
 	}
 	if dec.More() {
@@ -206,7 +218,7 @@ func decodeStrict(r *http.Request, v any) *httpError {
 
 func (s *Service) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var cfg sessionConfig
-	if herr := decodeStrict(r, &cfg); herr != nil {
+	if herr := s.decodeStrict(w, r, &cfg); herr != nil {
 		writeError(w, herr)
 		return
 	}
@@ -264,7 +276,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Events []event `json:"events"`
 	}
-	if herr := decodeStrict(r, &req); herr != nil {
+	if herr := s.decodeStrict(w, r, &req); herr != nil {
 		writeError(w, herr)
 		return
 	}

@@ -478,8 +478,6 @@ func modeOf(engine string) rls.EngineMode {
 		return rls.JumpEngine
 	case "sharded":
 		return rls.ShardedEngine
-	case "shardedjump":
-		return rls.ShardedJumpEngine
 	}
 	return rls.DirectEngine
 }

@@ -19,7 +19,7 @@ func TestSaveRestoreSnapshots(t *testing.T) {
 	srv, svc := newTestServer(t, Config{StateDir: dir})
 
 	id1 := createSession(t, srv, `{"bins": 16, "balls": 64, "seed": 7}`)
-	id2 := createSession(t, srv, `{"bins": 32, "balls": 32, "seed": 9, "engine": "shardedjump", "shards": 3}`)
+	id2 := createSession(t, srv, `{"bins": 32, "balls": 32, "seed": 9, "engine": "sharded", "shards": 3}`)
 	post(t, srv.URL+"/v1/sessions/"+id1+"/events", `{"events":[{"op":"run","for":2.5},{"op":"add"}]}`).Body.Close()
 	post(t, srv.URL+"/v1/sessions/"+id2+"/events", `{"events":[{"op":"run","for":1.0},{"op":"remove"}]}`).Body.Close()
 	before1 := waitApplied(t, srv, id1, 2)

@@ -109,6 +109,7 @@ func TestHandlerTable(t *testing.T) {
 		{"strict on topology", "POST", "/v1/sessions", `{"bins": 8, "strict": true, "topology": "ring"}`, 400},
 		{"sharded strict", "POST", "/v1/sessions", `{"bins": 8, "engine": "sharded", "strict": true}`, 400},
 		{"shardedjump topology", "POST", "/v1/sessions", `{"bins": 8, "engine": "shardedjump", "topology": "ring"}`, 400},
+		{"removed shardedjump engine", "POST", "/v1/sessions", `{"bins": 8, "engine": "shardedjump"}`, 400},
 		{"torus non-square", "POST", "/v1/sessions", `{"bins": 8, "topology": "torus"}`, 400},
 		{"hypercube non-power", "POST", "/v1/sessions", `{"bins": 12, "topology": "hypercube"}`, 400},
 		{"unknown topology", "POST", "/v1/sessions", `{"bins": 8, "topology": "petersen"}`, 400},
@@ -127,6 +128,8 @@ func TestHandlerTable(t *testing.T) {
 		{"events negative budget", "POST", "/v1/sessions/" + id + "/events", `{"events": [{"op": "run_to_perfect", "budget": -1}]}`, 400},
 		{"events batch too large", "POST", "/v1/sessions/" + id + "/events",
 			`{"events": [` + strings.Repeat(`{"op": "add"},`, 8) + `{"op": "add"}]}`, 400},
+		{"events body over byte limit", "POST", "/v1/sessions/" + id + "/events",
+			`{"events": [` + strings.Repeat(`{"op": "add"},`, 1000) + `{"op": "add"}]}`, 413},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -162,7 +165,6 @@ func TestCreateAllEngineModes(t *testing.T) {
 		`{"bins": 16, "balls": 64, "engine": "jump", "topology": "torus"}`,
 		`{"bins": 16, "balls": 64, "engine": "jump", "topology": "hypercube"}`,
 		`{"bins": 16, "balls": 64, "engine": "sharded", "shards": 2}`,
-		`{"bins": 16, "balls": 64, "engine": "shardedjump", "shards": 2}`,
 	} {
 		id := createSession(t, srv, body)
 		resp := post(t, srv.URL+"/v1/sessions/"+id+"/events",

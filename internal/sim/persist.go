@@ -9,10 +9,10 @@ import (
 	"repro/internal/rng"
 )
 
-// This file is sim's half of the snapshot codec: the three activation
-// samplers, the sequential Engine (all four protocol shapes: direct,
-// jump, strict jump, graph jump), and the Sharded engine with its
-// cross-shard census and repartition policy state.
+// This file is sim's half of the snapshot codec: the ball-list and
+// Fenwick activation samplers, the sequential Engine (all four protocol
+// shapes: direct, jump, strict jump, graph jump), and the Sharded engine
+// with its repartition policy state.
 //
 // DecodeState methods decode *into* an engine of the matching shape —
 // the root package's ResumeSession rebuilds the shape from the snapshot
@@ -25,11 +25,11 @@ import (
 
 // Sampler type tags, written ahead of the sampler payload so a decode
 // into an engine of the wrong shape fails loudly instead of misreading.
+// No Session holds an event-heap engine, so that sampler has no codec.
 const (
 	samplerNone = iota
 	samplerBallList
 	samplerFenwick
-	samplerEventHeap
 )
 
 // Graph-sampler type tags (graph jump engines only), written ahead of
@@ -135,106 +135,6 @@ func (f *Fenwick) decodeState(d *persist.Dec, cfg *loadvec.Config) error {
 	return nil
 }
 
-// encodeState writes the event heap verbatim, lazy clocks included: the
-// heap slice in its array order (a valid heap stays a valid heap), the
-// ball tables, the dead set, the sampler clock, the last-activated
-// hint, and whether the initial rings have been seeded yet.
-func (h *EventHeap) encodeState(e *persist.Enc) {
-	e.I32s(h.ballBin)
-	e.U64(uint64(len(h.bins)))
-	for _, lst := range h.bins {
-		e.I32s(lst)
-	}
-	e.Bools(h.dead)
-	e.F64(h.now)
-	e.Int(int(h.last))
-	e.Bool(h.r != nil)
-	e.U64(uint64(len(h.events)))
-	for _, ev := range h.events {
-		e.F64(ev.time)
-		e.Int(int(ev.ball))
-	}
-}
-
-// decodeState restores the heap in place. r becomes the heap's clock
-// source iff the snapshot was taken after lazy seeding; otherwise the
-// restored heap seeds itself on first use exactly like a fresh one.
-func (h *EventHeap) decodeState(d *persist.Dec, cfg *loadvec.Config, r *rng.RNG) error {
-	ballBin := d.I32s()
-	nbins := d.Int()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if nbins != cfg.N() {
-		return persist.Corruptf("event heap over %d bins, config has %d", nbins, cfg.N())
-	}
-	bins := make([][]int32, nbins)
-	for i := range bins {
-		bins[i] = d.I32s()
-	}
-	dead := d.Bools()
-	now := d.F64()
-	last := d.Int()
-	seeded := d.Bool()
-	nev := d.Int()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if len(dead) != len(ballBin) {
-		return persist.Corruptf("event heap with %d balls but %d dead flags", len(ballBin), len(dead))
-	}
-	if len(ballBin) > 0 && (last < 0 || last >= len(ballBin)) {
-		return persist.Corruptf("event heap last-ball hint %d of %d", last, len(ballBin))
-	}
-	live := 0
-	seen := make([]bool, len(ballBin))
-	for bin, lst := range bins {
-		if len(lst) != cfg.Load(bin) {
-			return persist.Corruptf("event heap holds %d balls in bin %d, config has %d", len(lst), bin, cfg.Load(bin))
-		}
-		for _, id := range lst {
-			if id < 0 || int(id) >= len(ballBin) || seen[id] || dead[id] || int(ballBin[id]) != bin {
-				return persist.Corruptf("event heap bin %d holds invalid ball %d", bin, id)
-			}
-			seen[id] = true
-			live++
-		}
-	}
-	if nev < 0 || nev > d.Remaining() {
-		return persist.Corruptf("event heap with %d pending events in %d bytes", nev, d.Remaining())
-	}
-	events := make(eventQueue, nev)
-	for i := range events {
-		t := d.F64()
-		ball := d.Int()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if ball < 0 || ball >= len(ballBin) {
-			return persist.Corruptf("event %d rings unknown ball %d", i, ball)
-		}
-		if i > 0 && t < events[(i-1)/2].time {
-			return persist.Corruptf("event slice is not a heap at index %d", i)
-		}
-		events[i] = event{time: t, ball: int32(ball)}
-	}
-	if d.Err() != nil {
-		return d.Err()
-	}
-	h.ballBin = ballBin
-	h.bins = bins
-	h.dead = dead
-	h.now = now
-	h.last = int32(last)
-	h.events = events
-	if seeded {
-		h.r = r
-	} else {
-		h.r = nil
-	}
-	return nil
-}
-
 // EncodeState appends the engine's full state: configuration (+ level
 // index), sampler, RNG words, clocks, and counters. The mover, graph
 // topology, and PostMove hook are shape, not state — the decoder's
@@ -249,9 +149,6 @@ func (e *Engine) EncodeState(enc *persist.Enc) {
 		s.encodeState(enc)
 	case *Fenwick:
 		enc.Int(samplerFenwick)
-		s.encodeState(enc)
-	case *EventHeap:
-		enc.Int(samplerEventHeap)
 		s.encodeState(enc)
 	default:
 		panic(fmt.Sprintf("sim: sampler %s has no snapshot codec", e.sampler.Name()))
@@ -311,13 +208,6 @@ func (e *Engine) DecodeState(d *persist.Dec) error {
 			return persist.Corruptf("snapshot sampler tag %d, engine wants fenwick", tag)
 		}
 		if err := s.decodeState(d, cfg); err != nil {
-			return err
-		}
-	case *EventHeap:
-		if tag != samplerEventHeap {
-			return persist.Corruptf("snapshot sampler tag %d, engine wants event-heap", tag)
-		}
-		if err := s.decodeState(d, cfg, e.r); err != nil {
 			return err
 		}
 	default:
@@ -393,14 +283,17 @@ func (e *Engine) DecodeState(d *persist.Dec) error {
 
 // EncodeState appends the sharded engine's state at an epoch barrier:
 // partition cuts, every shard's private engine state, the stale
-// snapshot and (jump, P > 1) the external census, the repartition
-// policy counters, and the folded clocks. Between Runs the transient
-// machinery — outboxes, dirty journals, worker pool, epoch sizing — is
-// structurally empty, so none of it is serialized.
+// snapshot, the repartition policy counters, and the folded clocks.
+// Between Runs the transient machinery — outboxes, worker pool, epoch
+// sizing — is structurally empty, so none of it is serialized.
+//
+// Three reserved fields are always written as zero: the jump flag, the
+// run horizon, and the external-census flag. They belonged to the
+// removed sharded jump mode and keep the wire layout of version 2.
 func (s *Sharded) EncodeState(enc *persist.Enc) {
 	enc.Int(s.n)
 	enc.Int(s.p)
-	enc.Bool(s.jump)
+	enc.Bool(false) // reserved: jump
 	enc.F64(s.epoch0)
 	enc.Ints(s.cuts)
 	encodeRNG(enc, s.root)
@@ -410,15 +303,12 @@ func (s *Sharded) EncodeState(enc *persist.Enc) {
 	enc.I64(s.moves)
 	enc.I64(s.crossProposed)
 	enc.I64(s.crossApplied)
-	enc.F64(s.horizon)
+	enc.F64(0) // reserved: horizon
 	enc.Bool(s.repartEnabled)
 	enc.Int(s.repartWait)
 	enc.Int(s.repartBackoff)
 	enc.I64(s.repartitions)
-	enc.Bool(s.ext != nil)
-	if s.ext != nil {
-		s.ext.EncodeState(enc)
-	}
+	enc.Bool(false) // reserved: external census
 	for _, sh := range s.shards {
 		enc.Int(sh.lo)
 		enc.Int(sh.hi)
@@ -429,17 +319,16 @@ func (s *Sharded) EncodeState(enc *persist.Enc) {
 		enc.I64(sh.proposed)
 		enc.I64(sh.landed)
 		sh.cfg.EncodeState(enc)
-		if !s.jump {
-			sh.smp.encodeState(enc)
-		}
+		sh.smp.encodeState(enc)
 	}
 }
 
 // DecodeState restores a snapshot into a sharded engine constructed
-// with the same n, P, and mode. The restored cuts may differ from the
-// constructor's (repartitioning moves them); shard ranges, scratch, and
-// the external prefix closures are rebuilt accordingly, exactly as
-// migrate does after a live repartition.
+// with the same n and P. The restored cuts may differ from the
+// constructor's (repartitioning moves them); shard ranges are rebuilt
+// accordingly, exactly as migrate does after a live repartition. A
+// payload that sets any reserved field names the removed sharded jump
+// mode and fails with persist.ErrCorrupt.
 func (s *Sharded) DecodeState(d *persist.Dec) error {
 	n := d.Int()
 	p := d.Int()
@@ -449,9 +338,8 @@ func (s *Sharded) DecodeState(d *persist.Dec) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if n != s.n || p != s.p || jump != s.jump {
-		return persist.Corruptf("snapshot shape %d bins × %d shards (jump=%v), engine is %d × %d (jump=%v)",
-			n, p, jump, s.n, s.p, s.jump)
+	if n != s.n || p != s.p {
+		return persist.Corruptf("snapshot shape %d bins × %d shards, engine is %d × %d", n, p, s.n, s.p)
 	}
 	if err := loadvec.ValidateCuts(cuts, n); err != nil {
 		return persist.Corruptf("snapshot cuts: %v", err)
@@ -486,24 +374,8 @@ func (s *Sharded) DecodeState(d *persist.Dec) error {
 	if repartBackoff < repartCheckBase || repartBackoff > repartCheckMax || repartWait < 0 {
 		return persist.Corruptf("repartition counters wait=%d backoff=%d out of range", repartWait, repartBackoff)
 	}
-	var ext *loadvec.StaleIndex
-	if hasExt {
-		if !jump || p == 1 {
-			return persist.Corruptf("external census present outside jump mode with P > 1")
-		}
-		var err error
-		if ext, err = loadvec.DecodeStaleIndex(d); err != nil {
-			return err
-		}
-		extCuts := ext.Cuts()
-		if len(extCuts) != len(cuts) {
-			return persist.Corruptf("census partition differs from the engine cuts")
-		}
-		for i := range cuts {
-			if extCuts[i] != cuts[i] {
-				return persist.Corruptf("census cut %d is %d, engine cut is %d", i, extCuts[i], cuts[i])
-			}
-		}
+	if jump || horizon != 0 || hasExt {
+		return persist.Corruptf("sharded payload sets a reserved field of the removed sharded jump mode")
 	}
 	shCfg := make([]*loadvec.Config, p)
 	type shardState struct {
@@ -536,18 +408,12 @@ func (s *Sharded) DecodeState(d *persist.Dec) error {
 		if cfg.N() != hi-lo {
 			return persist.Corruptf("shard %d config over %d bins for range [%d,%d)", i, cfg.N(), lo, hi)
 		}
-		if jump {
-			if !cfg.LevelIndexed() || cfg.TieGap() != 1 {
-				return persist.Corruptf("shard %d config is not plain level-indexed in jump mode", i)
-			}
-		} else if cfg.LevelIndexed() {
-			return persist.Corruptf("shard %d config carries a level index in plain mode", i)
+		if cfg.LevelIndexed() {
+			return persist.Corruptf("shard %d config carries a level index", i)
 		}
 		shCfg[i] = cfg
-		if !jump {
-			if err := s.shards[i].smp.decodeState(d, cfg); err != nil {
-				return err
-			}
+		if err := s.shards[i].smp.decodeState(d, cfg); err != nil {
+			return err
 		}
 	}
 	if d.Err() != nil {
@@ -560,9 +426,7 @@ func (s *Sharded) DecodeState(d *persist.Dec) error {
 	s.stale = stale
 	s.time, s.acts, s.moves = time, acts, moves
 	s.crossProposed, s.crossApplied = crossProposed, crossApplied
-	s.horizon = horizon
 	s.repartEnabled, s.repartWait, s.repartBackoff, s.repartitions = repartEnabled, repartWait, repartBackoff, repartitions
-	s.ext = ext
 	for i, sh := range s.shards {
 		sh.lo, sh.hi = cuts[i], cuts[i+1]
 		sh.r.Restore(states[i].rngState)
@@ -572,16 +436,6 @@ func (s *Sharded) DecodeState(d *persist.Dec) error {
 		sh.cfg = shCfg[i]
 		s.cfgs[i] = shCfg[i]
 		sh.out = sh.out[:0]
-		if s.jump && s.p > 1 {
-			sh.dirty = sh.dirty[:0]
-			sh.dirtyMark = make([]bool, sh.hi-sh.lo)
-		}
-	}
-	if s.ext != nil {
-		for _, sh := range s.shards {
-			id := sh.id
-			sh.cfg.SetExternalPrefix(func(w int) int64 { return s.ext.External(id, w) })
-		}
 	}
 	s.refold()
 	return nil

@@ -19,12 +19,10 @@ func skewedVector(n, m, hot int, r *rng.RNG) loadvec.Vector {
 }
 
 // checkAgainstRebuild asserts, at a barrier, that every piece of
-// shard-local state — Config histograms, samplers or level indexes, the
-// stale snapshot, and the external census — is identical to a from-scratch
-// rebuild from the live loads under the live cuts. This is the
-// repartition analogue of TestShardedJumpIncrementalReconciliation: if
-// migration mislays a bin, a ball, a bucket position, or an external
-// prefix, some rebuilt quantity disagrees.
+// shard-local state — Config histograms, samplers, and the stale
+// snapshot — is identical to a from-scratch rebuild from the live loads
+// under the live cuts: if migration mislays a bin or a ball, some rebuilt
+// quantity disagrees.
 func checkAgainstRebuild(t *testing.T, s *Sharded, barriers int) {
 	t.Helper()
 	live := s.Snapshot()
@@ -46,7 +44,7 @@ func checkAgainstRebuild(t *testing.T, s *Sharded, barriers int) {
 				t.Fatalf("barrier %d shard %d bin %d: load %d vs rebuild %d",
 					barriers, i, l, sh.cfg.Load(l), fresh.Load(l))
 			}
-			if sh.smp != nil && sh.smp.Load(l) != sh.cfg.Load(l) {
+			if sh.smp.Load(l) != sh.cfg.Load(l) {
 				t.Fatalf("barrier %d shard %d bin %d: sampler %d vs config %d",
 					barriers, i, l, sh.smp.Load(l), sh.cfg.Load(l))
 			}
@@ -54,31 +52,10 @@ func checkAgainstRebuild(t *testing.T, s *Sharded, barriers int) {
 		if err := sh.cfg.Validate(); err != nil {
 			t.Fatalf("barrier %d shard %d: %v", barriers, i, err)
 		}
-		if s.jump {
-			fresh.EnableLevelIndex()
-			if sh.cfg.MoveWeight() != fresh.MoveWeight() {
-				t.Fatalf("barrier %d shard %d: W %d vs rebuild %d",
-					barriers, i, sh.cfg.MoveWeight(), fresh.MoveWeight())
-			}
-		}
 	}
 	for bin := range live {
 		if s.stale[bin] != live[bin] {
 			t.Fatalf("barrier %d: stale[%d] = %d, live %d", barriers, bin, s.stale[bin], live[bin])
-		}
-	}
-	if s.jump && s.ext != nil {
-		if err := s.ext.Validate(s.stale); err != nil {
-			t.Fatalf("barrier %d: %v", barriers, err)
-		}
-		freshExt := loadvec.NewStaleIndexCuts(s.stale, cuts)
-		for _, sh := range s.shards {
-			for w := -1; w <= s.ext.Levels()+1; w++ {
-				if got, want := s.ext.External(sh.id, w), freshExt.External(sh.id, w); got != want {
-					t.Fatalf("barrier %d shard %d: External(%d) = %d, rebuild says %d",
-						barriers, sh.id, w, got, want)
-				}
-			}
 		}
 	}
 }
@@ -116,82 +93,38 @@ func TestRepartitionPropertyPlain(t *testing.T) {
 	}
 }
 
-// TestRepartitionPropertyJump is the jump-mode variant: migration must
-// additionally rebuild level indexes, dirty journals, and the external
-// census consistently.
-func TestRepartitionPropertyJump(t *testing.T) {
-	const n, m, p = 48, 400, 4
-	r := rng.New(29)
-	s := NewShardedJump(skewedVector(n, m, 6, r), p, 0.02, r)
-
-	barriers := 0
-	s.PostCheck = func(s *Sharded) {
-		if s.ext == nil {
-			return
-		}
-		barriers++
-		checkAgainstRebuild(t, s, barriers)
-	}
-	churn := rng.New(72)
-	for round := 0; round < 30; round++ {
-		for i := 0; i < 4; i++ {
-			s.AddBall(churn.Intn(6))
-			if s.M() > 1 {
-				s.RemoveBall(s.RandomBin())
-			}
-		}
-		end := s.Time() + 0.2
-		s.SetHorizon(end)
-		s.Run(ShardedUntilTime(end), 0)
-		s.SetHorizon(0)
-	}
-	if barriers < 50 {
-		t.Fatalf("only %d barriers checked", barriers)
-	}
-	if s.Repartitions() == 0 {
-		t.Fatal("skewed run never repartitioned — the property test is vacuous")
-	}
-}
-
 // TestRepartitionDeterministic pins the acceptance invariant: a fixed
 // (seed, P) reproduces a repartitioned run exactly — same trajectory,
 // same cuts, same repartition count.
 func TestRepartitionDeterministic(t *testing.T) {
-	for _, jump := range []bool{false, true} {
-		mk := func() *Sharded {
-			// Fixed fine epochs: plenty of barriers before balance, so the
-			// skewed start reliably trips the repartition trigger.
-			r := rng.New(55)
-			v := skewedVector(64, 600, 8, r)
-			if jump {
-				return NewShardedJump(v, 4, 0.02, r)
-			}
-			return NewSharded(v, 4, 0.02, r)
+	mk := func() *Sharded {
+		// Fixed fine epochs: plenty of barriers before balance, so the
+		// skewed start reliably trips the repartition trigger.
+		r := rng.New(55)
+		return NewSharded(skewedVector(64, 600, 8, r), 4, 0.02, r)
+	}
+	a, b := mk(), mk()
+	ra := a.Run(ShardedUntilPerfect(), 20_000_000)
+	rb := b.Run(ShardedUntilPerfect(), 20_000_000)
+	if ra.Time != rb.Time || ra.Activations != rb.Activations || ra.Moves != rb.Moves {
+		t.Fatalf("runs diverged: %+v vs %+v", ra, rb)
+	}
+	for i := range ra.Final {
+		if ra.Final[i] != rb.Final[i] {
+			t.Fatalf("final vectors diverge at bin %d", i)
 		}
-		a, b := mk(), mk()
-		ra := a.Run(ShardedUntilPerfect(), 20_000_000)
-		rb := b.Run(ShardedUntilPerfect(), 20_000_000)
-		if ra.Time != rb.Time || ra.Activations != rb.Activations || ra.Moves != rb.Moves {
-			t.Fatalf("jump=%v: runs diverged: %+v vs %+v", jump, ra, rb)
+	}
+	if a.Repartitions() != b.Repartitions() {
+		t.Fatalf("repartition counts diverge: %d vs %d", a.Repartitions(), b.Repartitions())
+	}
+	ca, cb := a.Cuts(), b.Cuts()
+	for i := range ca {
+		if ca[i] != cb[i] {
+			t.Fatalf("cuts diverge: %v vs %v", ca, cb)
 		}
-		for i := range ra.Final {
-			if ra.Final[i] != rb.Final[i] {
-				t.Fatalf("jump=%v: final vectors diverge at bin %d", jump, i)
-			}
-		}
-		if a.Repartitions() != b.Repartitions() {
-			t.Fatalf("jump=%v: repartition counts diverge: %d vs %d",
-				jump, a.Repartitions(), b.Repartitions())
-		}
-		ca, cb := a.Cuts(), b.Cuts()
-		for i := range ca {
-			if ca[i] != cb[i] {
-				t.Fatalf("jump=%v: cuts diverge: %v vs %v", jump, ca, cb)
-			}
-		}
-		if a.Repartitions() == 0 {
-			t.Fatalf("jump=%v: skewed run never repartitioned — determinism untested", jump)
-		}
+	}
+	if a.Repartitions() == 0 {
+		t.Fatal("skewed run never repartitioned — determinism untested")
 	}
 }
 
@@ -223,29 +156,20 @@ func TestRepartitionDisabled(t *testing.T) {
 // O(n) policy event (it rebuilds the moved shards), not part of the epoch
 // loop under test.
 func TestShardedEpochSteadyStateAllocFree(t *testing.T) {
-	for _, jump := range []bool{false, true} {
-		r := rng.New(3)
-		v := loadvec.OneChoice().Generate(256, 4096, r)
-		var s *Sharded
-		if jump {
-			s = NewShardedJump(v, 4, 0.01, r)
-		} else {
-			s = NewSharded(v, 4, 0.01, r)
-		}
-		s.SetRepartition(false)
-		s.Run(ShardedUntilTime(0.5), 0) // warmup: grow outboxes, build census
-		start := s.Time()
-		allocs := testing.AllocsPerRun(1, func() {
-			end := s.Time() + 2.0
-			s.Run(ShardedUntilTime(end), 0)
-		})
-		epochs := (s.Time() - start) / s.dt
-		// Fixed per-Run setup (pool, channels, Result/Snapshot) is ~20
-		// allocations; 200 epochs at even one alloc each would blow past it.
-		if allocs > 60 {
-			t.Fatalf("jump=%v: %0.f allocations over a ~%0.f-epoch run — the epoch loop is allocating",
-				jump, allocs, epochs)
-		}
+	r := rng.New(3)
+	s := NewSharded(loadvec.OneChoice().Generate(256, 4096, r), 4, 0.01, r)
+	s.SetRepartition(false)
+	s.Run(ShardedUntilTime(0.5), 0) // warmup: grow outboxes
+	start := s.Time()
+	allocs := testing.AllocsPerRun(1, func() {
+		end := s.Time() + 2.0
+		s.Run(ShardedUntilTime(end), 0)
+	})
+	epochs := (s.Time() - start) / s.dt
+	// Fixed per-Run setup (pool, channels, Result/Snapshot) is ~20
+	// allocations; 200 epochs at even one alloc each would blow past it.
+	if allocs > 60 {
+		t.Fatalf("%0.f allocations over a ~%0.f-epoch run — the epoch loop is allocating", allocs, epochs)
 	}
 }
 
@@ -257,25 +181,17 @@ func TestShardedEpochSteadyStateAllocFree(t *testing.T) {
 // Repartitioning is off for the same reason as in the alloc test: a
 // migration is a policy event, not epoch-loop cost.
 func BenchmarkShardedEpochSteadyState(b *testing.B) {
-	for _, mode := range []string{"plain", "jump"} {
-		b.Run(mode, func(b *testing.B) {
-			r := rng.New(3)
-			v := loadvec.OneChoice().Generate(256, 4096, r)
-			var s *Sharded
-			if mode == "jump" {
-				s = NewShardedJump(v, 4, 0.01, r)
-			} else {
-				s = NewSharded(v, 4, 0.01, r)
-			}
-			s.SetRepartition(false)
-			s.Run(ShardedUntilTime(0.5), 0) // warmup: scratch grown, census built
-			s.startWorkers()
-			defer s.stopWorkers()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.runEpochParallel()
-			}
-		})
-	}
+	b.Run("plain", func(b *testing.B) {
+		r := rng.New(3)
+		s := NewSharded(loadvec.OneChoice().Generate(256, 4096, r), 4, 0.01, r)
+		s.SetRepartition(false)
+		s.Run(ShardedUntilTime(0.5), 0) // warmup: scratch grown
+		s.startWorkers()
+		defer s.stopWorkers()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.runEpochParallel()
+		}
+	})
 }

@@ -74,73 +74,20 @@ import (
 // bins: the shard owning the hot range does nearly all the work while its
 // peers spin on empty epochs. At epoch barriers the engine therefore
 // re-balances the range boundaries work-stealing-style: when the folded
-// per-shard event weights (W_s+X_s for jump shards, ball mass m_s for
-// plain shards) report one shard carrying more than 1.5x its fair share,
-// new cuts are computed from per-bin weights (loadvec.BalancedCuts) and
-// the boundary bins migrate — the affected shards' Configs, samplers,
-// level indexes, and dirty journals are rebuilt over their new ranges and
-// the stale census is reconstructed under the new cuts. Every decision is
-// a pure function of the folded barrier state, taken single-threaded
-// between epochs, so fixed (seed, P) still reproduces the run exactly;
-// P = 1 never repartitions, keeping the byte-identical equivalence.
-// Declined checks (the imbalance is intrinsic, e.g. one overloaded bin)
-// back off exponentially so end-game per-move barriers are not taxed with
-// O(n) scans.
-//
-// # Jump mode (NewShardedJump)
-//
-// The sharded *jump* engine composes this parallel structure with the
-// jump engine's rejection-free blocks, covering the dense and end-game
-// regimes in one run. Each shard's Config carries a level index
-// maintaining its local move weight W_s = Σ_v v·count_s[v]·C_s(v−1), and
-// additionally an external weight X_s = Σ_v v·count_s[v]·S_s(v−1) where
-// S_s(w) counts the bins of *other* shards with stale-snapshot load ≤ w —
-// exactly the population the cross-shard proposal filter admits. A
-// uniform activation is eventful (a local productive move, or a proposal
-// passing the stale filter) with probability (W_s+X_s)/(m_s·n), so each
-// shard skips its null activations in Geometric blocks with Erlang time
-// gaps, just like the jump engine, and classifies each event as local
-// (apply immediately, weight W_s) or cross-shard (append the proposal,
-// weight X_s). Blocks crossing the epoch horizon are truncated exactly —
-// the nulls in the remaining window are a thinned Poisson draw and the
-// clock lands on the horizon — so jump shards meet every barrier on the
-// dot, and time-targeted runs (SetHorizon) never overshoot.
-//
-// Barrier reconciliation is incremental: each shard journals the bins it
-// mutates (epoch moves, barrier detach/land/restore), and the barrier
-// replays the journals as deltas against the stale snapshot and the
-// external census — one loadvec.StaleIndex.Move plus an
-// ExternalPrefixUpdated window per peer shard per changed bin,
-// O(changed·P·Δ) total, i.e. O(changed·Δ) at the small constant shard
-// counts in play — instead of recopying the snapshot and rebuilding
-// every table in O(n + P·Δ). A coarse dense epoch that dirties ≳ n/4 bins
-// falls back to the from-scratch rebuild (cheaper at that density);
-// end-game per-move epochs never do, which is what keeps the per-move
-// barrier cost independent of n (BenchmarkShardedJumpEndGame measures it
-// at two sizes).
-//
-// Epochs adapt: in auto mode the epoch length starts at the dense
-// activation-sized epoch and shrinks proportionally to the folded global
-// move weight (FoldedStats.W, reconciled at each barrier) as the move
-// rate drops, clamped in event units (jumpEventsPerEpochFloor and
-// max(jumpEventsPerEpochCap, n/P)) — so a run slides from coarse
-// parallel epochs (dense: parallel wins) to per-move epochs (end-game:
-// the jump skipping wins) without the caller picking a mode per regime.
-// With P = 1 the single shard executes the jump engine's exact step
-// loop on the root stream, making fixed-seed output byte-identical to
-// NewJumpEngine's.
+// per-shard ball masses m_s report one shard carrying more than 1.5x its
+// fair share, new cuts are computed from per-bin weights
+// (loadvec.BalancedCuts) and the boundary bins migrate — the affected
+// shards' Configs and samplers are rebuilt over their new ranges. Every
+// decision is a pure function of the folded barrier state, taken
+// single-threaded between epochs, so fixed (seed, P) still reproduces the
+// run exactly; P = 1 never repartitions, keeping the byte-identical
+// equivalence. Declined checks (the imbalance is intrinsic, e.g. one
+// overloaded bin) back off exponentially so end-game barriers are not
+// taxed with O(n) scans.
 type Sharded struct {
 	n, p   int
 	epoch0 float64 // configured epoch length (0 = auto-sized per Run)
 	dt     float64 // epoch length for the current Run
-	jump   bool    // rejection-free jump shards (NewShardedJump)
-
-	// horizon, when positive, is the continuous-time target of the current
-	// run; only jump mode consults it (epoch ends clamp there, so the run
-	// stops at exactly the horizon). Plain sharded keeps its documented
-	// epoch-overshoot semantics and byte-pinned draw sequence.
-	horizon float64
-	w0      int64 // largest folded move weight seen this Run (adaptive anchor)
 
 	// cuts are the live partition boundaries: shard i owns global bins
 	// [cuts[i], cuts[i+1]). Initially loadvec.Cuts(n, p); repartitioning
@@ -150,27 +97,6 @@ type Sharded struct {
 	cfgs   []*loadvec.Config // shard Configs (refold scratch; repartition swaps entries)
 	root   *rng.RNG
 	stale  []int // global loads as of the last reconciliation (filter only)
-
-	// ext is the jump mode's external-destination census (P > 1 only): the
-	// global bins bucketed by stale level and owning shard, with Fenwick
-	// prefix counts so each shard's S_s(w) prefix — the population its
-	// level index maintains X_s against — is an O(log Δ) query. Built once
-	// (lazily, at the first jump Run), then maintained *incrementally*: at
-	// each barrier the per-shard dirty-bin journals are applied as
-	// bin-level deltas — O(changed·P·Δ) total, one census move plus a
-	// Δ-bounded window refresh per peer shard per changed bin — instead
-	// of rebuilding the tables and recopying the snapshot in O(n + P·Δ):
-	// the difference between end-game per-move barriers costing O(n) per
-	// move and O(P·Δ).
-	ext *loadvec.StaleIndex
-
-	// inline, set per epoch in jump mode, runs the epoch and barrier
-	// phases on the calling goroutine: an end-game epoch holds ~one event,
-	// so there is no parallelism to exploit and even the pool's channel
-	// round-trips would dominate the barrier. Draw sequences are per-shard
-	// streams either way, so the output is bit-identical to the parallel
-	// schedule.
-	inline bool
 
 	// Persistent worker pool (P > 1, spawned once per Run): each epoch and
 	// barrier phase is dispatched as a phase id over per-shard channels —
@@ -185,8 +111,7 @@ type Sharded struct {
 	repartWait    int // barriers until the next O(n) repartition scan is allowed
 	repartBackoff int // current decline backoff, doubling up to repartBackoffMax
 	repartitions  int64
-	binWeights    []int64 // scratch: per-bin event weights for cut placement
-	histScratch   []int64 // scratch: global level histogram (jump weights)
+	binWeights    []int64 // scratch: per-bin ball weights for cut placement
 
 	// Folded global view (refreshed at each barrier and churn event).
 	stats loadvec.FoldedStats
@@ -226,18 +151,9 @@ type shard struct {
 	// plus periodic reallocation for.
 	out []proposal
 
-	// Batched-draw scratch (plain mode, P > 1): per-chunk uniform ball
-	// ids and destination bins, filled by rng.FillIntn.
+	// Batched-draw scratch (P > 1): per-chunk uniform ball ids and
+	// destination bins, filled by rng.FillIntn.
 	idxBuf, dstBuf []int32
-
-	// Dirty journal (jump mode, P > 1): the local bins whose live load may
-	// have drifted from the stale snapshot since the last reconciliation.
-	// Every cfg mutation — epoch moves, barrier detach/land/restore — is
-	// recorded by its owning shard (mark), deduplicated through dirtyMark,
-	// and the journals are drained in shard order at the barrier
-	// (reconcileStale), which keeps the replay deterministic.
-	dirty     []int32
-	dirtyMark []bool
 
 	// Barrier scratch, indexed by peer shard id. inbox[s] is written by
 	// shard s in the detach phase and read by this shard in the land
@@ -246,20 +162,6 @@ type shard struct {
 	// owner per phase, with the phase barriers ordering the handover.
 	inbox  [][]handoff
 	reject [][]int32
-}
-
-// mark journals a local bin as dirty: its live load may now differ from
-// the stale snapshot, so the barrier must reconcile it. A no-op outside
-// jump mode (dirtyMark is nil) and for bins already journaled. Only the
-// shard's own goroutine calls it — every cfg mutation is made by the
-// owning shard, in epochs and in all three barrier phases — so the journal
-// needs no synchronization.
-func (sh *shard) mark(local int) {
-	if sh.dirtyMark == nil || sh.dirtyMark[local] {
-		return
-	}
-	sh.dirtyMark[local] = true
-	sh.dirty = append(sh.dirty, int32(local))
 }
 
 // proposal is a cross-shard move candidate: global source and destination
@@ -307,20 +209,6 @@ const shardedActsPerEpoch = 256
 // enough to stay in L1.
 const shardBatch = 512
 
-// jumpEventsPerEpochFloor floors the adaptive jump epoch: dt never
-// shrinks below the length holding one expected event globally, so
-// end-game barriers each settle about one jump step — the jump engine's
-// own granularity. Coarser floors measurably inflate end-game balancing
-// times: every deferred cross-shard move waits out the rest of its
-// epoch, and near balance the critical (rare) moves dominate the clock.
-const jumpEventsPerEpochFloor = 1
-
-// jumpEventsPerEpochCap bounds the adaptive epoch from above, in
-// events: no barrier defers more than ~max(cap, n/P) events of
-// cross-shard mixing, which keeps the dense-phase dynamics close to the
-// sequential process at every system size.
-const jumpEventsPerEpochCap = 4
-
 // NewSharded builds a sharded engine over a copy of the initial
 // configuration with the given shard count (0 means DefaultShards) and
 // epoch length (0 means auto: sized per Run so each shard expects
@@ -329,20 +217,6 @@ const jumpEventsPerEpochCap = 4
 // root stream is used directly so the run is byte-identical to the direct
 // engine's. It panics on a nil RNG or a shard count above the bin count.
 func NewSharded(initial loadvec.Vector, shards int, epoch float64, root *rng.RNG) *Sharded {
-	return newSharded(initial, shards, epoch, root, false)
-}
-
-// NewShardedJump builds the sharded jump engine: the epoch/barrier
-// structure of NewSharded with rejection-free jump shards (see the
-// "Jump mode" section of the Sharded doc). An epoch of 0 selects the
-// adaptive policy — epochs shrink with the folded move rate from the
-// dense activation-sized epoch down to the one-expected-event floor. With
-// shards == 1 fixed-seed output is byte-identical to NewJumpEngine's.
-func NewShardedJump(initial loadvec.Vector, shards int, epoch float64, root *rng.RNG) *Sharded {
-	return newSharded(initial, shards, epoch, root, true)
-}
-
-func newSharded(initial loadvec.Vector, shards int, epoch float64, root *rng.RNG, jump bool) *Sharded {
 	if root == nil {
 		panic("sim: NewSharded with nil RNG")
 	}
@@ -360,7 +234,6 @@ func newSharded(initial loadvec.Vector, shards int, epoch float64, root *rng.RNG
 		n:             n,
 		p:             shards,
 		epoch0:        epoch,
-		jump:          jump,
 		root:          root,
 		cuts:          loadvec.Cuts(n, shards),
 		stale:         append([]int(nil), initial...),
@@ -378,23 +251,15 @@ func newSharded(initial loadvec.Vector, shards int, epoch float64, root *rng.RNG
 		sh := &shard{
 			id: i, lo: s.cuts[i], hi: s.cuts[i+1],
 			cfg:    loadvec.NewConfig(part),
+			smp:    NewBallList(),
 			r:      r,
 			inbox:  make([][]handoff, shards),
 			reject: make([][]int32, shards),
 		}
-		if jump {
-			// Jump shards sample through the level index; no per-ball table.
-			sh.cfg.EnableLevelIndex()
-			if shards > 1 {
-				sh.dirtyMark = make([]bool, sh.hi-sh.lo)
-			}
-		} else {
-			sh.smp = NewBallList()
-			sh.smp.Reset(part)
-			if shards > 1 {
-				sh.idxBuf = make([]int32, shardBatch)
-				sh.dstBuf = make([]int32, shardBatch)
-			}
+		sh.smp.Reset(part)
+		if shards > 1 {
+			sh.idxBuf = make([]int32, shardBatch)
+			sh.dstBuf = make([]int32, shardBatch)
 		}
 		s.cfgs[i] = sh.cfg
 		s.shards[i] = sh
@@ -402,18 +267,6 @@ func newSharded(initial loadvec.Vector, shards int, epoch float64, root *rng.RNG
 	s.stats = loadvec.FoldStats(s.cfgs...)
 	return s
 }
-
-// Jump reports whether the engine runs rejection-free jump shards.
-func (s *Sharded) Jump() bool { return s.jump }
-
-// SetHorizon declares the continuous-time target of the next run (0
-// clears it). Only jump mode consults it: epoch ends clamp at the
-// horizon and jump shards truncate their final blocks there exactly, so
-// time-targeted sharded-jump runs never report Time() > horizon. Plain
-// sharded ignores it, keeping its epoch-overshoot semantics (and its
-// byte-pinned P = 1 equivalence with the direct engine). Callers driving
-// a persistent engine (Session) must clear it before other runs.
-func (s *Sharded) SetHorizon(t float64) { s.horizon = t }
 
 // N returns the number of bins.
 func (s *Sharded) N() int { return s.n }
@@ -527,12 +380,8 @@ func (s *Sharded) GlobalConfig() *loadvec.Config {
 func (s *Sharded) AddBall(bin int) {
 	sh := s.shards[s.owner(bin)]
 	sh.cfg.AddBall(bin - sh.lo)
-	if sh.smp != nil {
-		sh.smp.AddBall(bin - sh.lo)
-	}
-	o := s.stale[bin]
-	s.stale[bin] = o + 1
-	s.staleMoved(sh.id, bin, o, o+1)
+	sh.smp.AddBall(bin - sh.lo)
+	s.stale[bin]++
 	s.refold()
 }
 
@@ -541,39 +390,11 @@ func (s *Sharded) AddBall(bin int) {
 func (s *Sharded) RemoveBall(bin int) {
 	sh := s.shards[s.owner(bin)]
 	sh.cfg.RemoveBall(bin - sh.lo)
-	if sh.smp != nil {
-		sh.smp.RemoveBall(bin - sh.lo)
-	}
-	if o := s.stale[bin]; o > 0 {
-		s.stale[bin] = o - 1
-		s.staleMoved(sh.id, bin, o, o-1)
+	sh.smp.RemoveBall(bin - sh.lo)
+	if s.stale[bin] > 0 {
+		s.stale[bin]--
 	}
 	s.refold()
-}
-
-// staleMoved propagates one bin's stale-level change (from → to, already
-// written to s.stale by the caller) into the jump mode's external tables:
-// the census moves the bin between level buckets in O(P + log Δ), and
-// every *other* shard's level index refreshes its external weights on
-// exactly the window the change dirtied — ext(w) moved only for
-// w ∈ [min, max−1], so x[v] = v·count[v]·ext(v−1) moved only for
-// v ∈ [min+1, max]. The owning shard's prefix is untouched: its own bin
-// cancels out of the gcnt−own difference. A no-op until the census exists
-// (first jump Run builds it).
-func (s *Sharded) staleMoved(owner, bin, from, to int) {
-	if s.ext == nil {
-		return
-	}
-	s.ext.Move(bin, from, to)
-	lo, hi := from, to
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	for _, peer := range s.shards {
-		if peer.id != owner {
-			peer.cfg.ExternalPrefixUpdated(lo, hi-1)
-		}
-	}
 }
 
 // RandomBin returns the bin of a uniformly random ball without advancing
@@ -582,17 +403,11 @@ func (s *Sharded) staleMoved(owner, bin, from, to int) {
 // stream; with P = 1 the single draw matches the direct engine's.
 func (s *Sharded) RandomBin() int {
 	if s.p == 1 {
-		if s.jump {
-			return s.shards[0].cfg.SampleBallBin(s.root)
-		}
 		return s.shards[0].smp.Sample(s.root)
 	}
 	k := s.root.Int63n(int64(s.Stats().M))
 	for _, sh := range s.shards {
 		if m := int64(sh.cfg.M()); k < m {
-			if s.jump {
-				return sh.lo + sh.cfg.SampleBallBin(s.root)
-			}
 			return sh.lo + sh.smp.Sample(s.root)
 		} else {
 			k -= m
@@ -632,16 +447,6 @@ func (s *Sharded) run(stop ShardedStop, maxActivations, every int64, traced bool
 	if maxActivations <= 0 {
 		maxActivations = DefaultActivationBudget
 	}
-	if s.jump && s.p > 1 {
-		if s.ext == nil {
-			// First jump Run: build the external census from scratch. From
-			// here on churn (staleMoved) and barriers (reconcileStale) keep it
-			// current incrementally, so later Runs start with live tables.
-			s.rebuildExternal()
-		}
-		s.refold()
-	}
-	s.w0 = 0
 	s.sizeEpoch()
 	if s.p > 1 {
 		s.startWorkers()
@@ -678,11 +483,7 @@ func (s *Sharded) run(stop ShardedStop, maxActivations, every int64, traced bool
 	stopped := stop(s)
 	for !stopped && s.Activations() < maxActivations {
 		if s.p == 1 {
-			if s.jump {
-				stopped = s.runEpochSingleJump(maxActivations, check)
-			} else {
-				stopped = s.runEpochSingle(maxActivations, check)
-			}
+			stopped = s.runEpochSingle(maxActivations, check)
 		} else {
 			s.runEpochParallel()
 			stopped = check()
@@ -701,13 +502,8 @@ func (s *Sharded) run(stop ShardedStop, maxActivations, every int64, traced bool
 }
 
 // sizeEpoch resolves the epoch length for this Run (auto mode reads the
-// live ball count). Parallel jump runs re-size adaptively at every
-// barrier instead.
+// live ball count).
 func (s *Sharded) sizeEpoch() {
-	if s.jump && s.p > 1 {
-		s.sizeEpochJump()
-		return
-	}
 	s.dt = s.epoch0
 	if s.dt <= 0 {
 		m := s.Stats().M
@@ -716,100 +512,6 @@ func (s *Sharded) sizeEpoch() {
 		}
 		s.dt = float64(shardedActsPerEpoch) * float64(s.p) / float64(m)
 	}
-}
-
-// sizeEpochJump implements the adaptive epoch policy for parallel jump
-// runs in auto mode (an explicit WithShardEpoch length is honored as-is).
-// The epoch starts from the dense activation-sized length and shrinks
-// proportionally to the folded global move weight W (FoldedStats.W,
-// refreshed at every barrier) as the move rate drops — tracking the
-// process ever more finely through the dense→sparse transition. Both ends
-// are clamped in *event* units (expected events per epoch ≈ dt·W/n):
-// at least jumpEventsPerEpochFloor so end-game barriers each settle
-// about one jump step — the jump engine's own granularity — and at
-// most max(jumpEventsPerEpochCap, n/P) so no barrier ever defers more
-// than ~one event per owned bin of cross-shard mixing, which keeps the
-// balancing dynamics close to the sequential process at every scale.
-func (s *Sharded) sizeEpochJump() {
-	if s.epoch0 > 0 {
-		s.dt = s.epoch0
-		return
-	}
-	m := s.stats.M
-	if m < 1 {
-		m = 1
-	}
-	dense := float64(shardedActsPerEpoch) * float64(s.p) / float64(m)
-	w := s.stats.W
-	if w > s.w0 {
-		s.w0 = w // anchor: the largest folded weight seen this Run
-	}
-	if w <= 0 {
-		s.dt = dense
-		return
-	}
-	dt := dense * float64(w) / float64(s.w0)
-	perEvent := float64(s.n) / float64(w) // epoch holding one expected event
-	if floor := jumpEventsPerEpochFloor * perEvent; dt < floor {
-		dt = floor
-	}
-	capEvents := jumpEventsPerEpochCap
-	if perShard := s.n / s.p; perShard > capEvents {
-		capEvents = perShard
-	}
-	if cap := float64(capEvents) * perEvent; dt > cap {
-		dt = cap
-	}
-	s.dt = dt
-}
-
-// runEpochSingleJump is the P = 1 degenerate path of the sharded jump
-// engine: the jump engine's exact step loop (same RNG draws from the root
-// stream, same horizon clamping, stop checked after every step — keep the
-// branch structure in sync with Engine.stepJump) chunked by one epoch of
-// simulated time.
-func (s *Sharded) runEpochSingleJump(maxActivations int64, check func() bool) bool {
-	sh := s.shards[0]
-	if sh.cfg.M() == 0 {
-		sh.t += s.dt
-		return check()
-	}
-	end := sh.t + s.dt
-	for sh.t < end && sh.acts < maxActivations {
-		m := float64(sh.cfg.M())
-		w := sh.cfg.MoveWeight()
-		h := s.horizon
-		if w == 0 {
-			if h > 0 && sh.t < h {
-				sh.acts += sh.r.Poisson(m * (h - sh.t))
-				sh.t = h
-			} else {
-				sh.t += sh.r.Exp(m)
-				sh.acts++
-			}
-			if check() {
-				return true
-			}
-			continue
-		}
-		p := float64(w) / (m * float64(s.n))
-		k := sh.r.Geometric(p)
-		gap := sh.r.Erlang(k, m)
-		if h > 0 && sh.t < h && sh.t+gap > h {
-			sh.acts += sh.r.Poisson(m * (1 - p) * (h - sh.t))
-			sh.t = h
-		} else {
-			sh.t += gap
-			sh.acts += k
-			src, dst := sh.cfg.SampleMovePair(sh.r)
-			sh.cfg.Move(src, dst)
-			sh.moves++
-		}
-		if check() {
-			return true
-		}
-	}
-	return false
 }
 
 // runEpochSingle is the P = 1 degenerate path: the direct engine's exact
@@ -851,15 +553,11 @@ const (
 )
 
 // runPhase executes one phase for one shard (on a pool worker, or on the
-// coordinator when inline/P = 1).
+// coordinator when P = 1).
 func (s *Sharded) runPhase(ph uint8, sh *shard) {
 	switch ph {
 	case phaseEpoch:
-		if s.jump {
-			s.runShardEpochJump(sh, s.epochEnd)
-		} else {
-			s.runShardEpoch(sh, s.epochEnd)
-		}
+		s.runShardEpoch(sh, s.epochEnd)
 	case phaseDetach:
 		s.detachPhase(sh)
 	case phaseLand:
@@ -870,13 +568,13 @@ func (s *Sharded) runPhase(ph uint8, sh *shard) {
 }
 
 // runPhases runs one phase across all shards, concurrently via the worker
-// pool for P > 1 (inline on the coordinator when there is nothing to
-// parallelize). Coordinator writes made before the dispatch are visible
-// to the workers through the channel sends, and worker writes are visible
-// to the coordinator through the WaitGroup — the only synchronization the
-// epoch loop performs, none of which allocates.
+// pool for P > 1 (on the coordinator when P = 1). Coordinator writes made
+// before the dispatch are visible to the workers through the channel
+// sends, and worker writes are visible to the coordinator through the
+// WaitGroup — the only synchronization the epoch loop performs, none of
+// which allocates.
 func (s *Sharded) runPhases(ph uint8) {
-	if s.p == 1 || s.inline || s.work == nil {
+	if s.p == 1 || s.work == nil {
 		for _, sh := range s.shards {
 			s.runPhase(ph, sh)
 		}
@@ -920,32 +618,14 @@ func (s *Sharded) stopWorkers() {
 }
 
 // runEpochParallel runs one epoch concurrently across the shards and
-// drains the cross-shard outboxes at the barrier. Jump epochs re-size
-// adaptively first and clamp the epoch horizon at the run horizon, so a
-// time-targeted run's final barrier lands exactly on the target.
+// drains the cross-shard outboxes at the barrier.
 func (s *Sharded) runEpochParallel() {
-	if s.jump {
-		s.sizeEpochJump()
-		end := s.time + s.dt
-		if s.horizon > 0 && s.horizon > s.time && end > s.horizon {
-			end = s.horizon
-		}
-		// Below ~one event per worker the epoch has nothing to parallelize;
-		// run it (and its barrier) inline instead of paying 4P channel
-		// round-trips per settled move.
-		s.inline = s.dt*float64(s.stats.W) < 4*float64(s.p)*float64(s.n)
-		s.epochEnd = end
-		s.runPhases(phaseEpoch)
-		s.barrier()
-		s.inline = false
-		return
-	}
 	s.epochEnd = s.time + s.dt
 	s.runPhases(phaseEpoch)
 	s.barrier()
 }
 
-// runShardEpoch advances one plain shard to the epoch horizon in one
+// runShardEpoch advances one shard to the epoch horizon in one
 // batched block. The shard's activation count over the window is
 // K ~ Poisson(m_s·dt) — the count of its rate-m_s Poisson stream with the
 // Exp gaps integrated out, the same law the per-gap loop simulated — and
@@ -992,123 +672,6 @@ func (s *Sharded) runShardEpoch(sh *shard, end float64) {
 	}
 }
 
-// runShardEpochJump advances one jump shard to the epoch horizon in
-// rejection-free blocks: with W = the shard's local move weight and
-// X = its external weight against the frozen stale snapshot, an
-// activation is eventful with probability (W+X)/(m_s·n), so the block
-// length is Geometric of that and the time gap Erlang. The closing event
-// is a local move with odds W : X — applied immediately, exactly as in
-// runShardEpoch — or a cross-shard proposal already known to pass the
-// stale filter, appended to the outbox for the barrier. A block that
-// would cross the horizon is truncated exactly (the nulls in the
-// remaining window are a thinned Poisson draw, the clock lands on the
-// horizon), so jump shards meet every barrier on the dot.
-func (s *Sharded) runShardEpochJump(sh *shard, end float64) {
-	m := sh.cfg.M()
-	if m == 0 {
-		if sh.t < end {
-			sh.t = end
-		}
-		return
-	}
-	fm := float64(m)
-	for sh.t < end {
-		w := sh.cfg.MoveWeight()
-		x := sh.cfg.ExternalMoveWeight()
-		ew := w + x
-		if ew == 0 {
-			// No eventful activation exists: everything to the horizon is null.
-			sh.acts += sh.r.Poisson(fm * (end - sh.t))
-			sh.t = end
-			return
-		}
-		p := float64(ew) / (fm * float64(s.n))
-		k := sh.r.Geometric(p)
-		gap := sh.r.Erlang(k, fm)
-		if sh.t+gap > end {
-			sh.acts += sh.r.Poisson(fm * (1 - p) * (end - sh.t))
-			sh.t = end
-			return
-		}
-		sh.t += gap
-		sh.acts += k
-		if sh.r.Int63n(ew) < w {
-			src, dst := sh.cfg.SampleMovePair(sh.r)
-			sh.cfg.Move(src, dst)
-			sh.moves++
-			sh.mark(src)
-			sh.mark(dst)
-		} else {
-			src, j := sh.cfg.SampleExternalMove(sh.r)
-			dst := s.ext.ExternalBinAt(sh.id, sh.cfg.Load(src)-1, j)
-			sh.out = append(sh.out, proposal{int32(sh.lo + src), int32(dst)})
-			sh.proposed++
-		}
-	}
-}
-
-// rebuildExternal builds the jump mode's external census from the stale
-// snapshot from scratch under the live cuts — O(n + P·Δ) — and installs
-// each shard's external prefix on its level index (a full X_s recompute
-// per shard). This is the reference reconciliation: it runs at the first
-// jump Run, as the dense-phase fallback of reconcileStale, and after a
-// repartition (the external populations change with the boundaries);
-// end-game barriers take the incremental path instead.
-func (s *Sharded) rebuildExternal() {
-	s.ext = loadvec.NewStaleIndexCuts(s.stale, s.cuts)
-	for _, sh := range s.shards {
-		id := sh.id
-		// The closure reads through s.ext, so replacing the census on a later
-		// rebuild keeps every installed prefix current automatically.
-		sh.cfg.SetExternalPrefix(func(w int) int64 { return s.ext.External(id, w) })
-	}
-}
-
-// reconcileThreshold is the dirty-bin fraction above which the barrier
-// falls back to the from-scratch rebuild: with ~n/4 bins changed the
-// incremental replay's per-bin Fenwick work costs more than one O(n + P·Δ)
-// scan. Dense-phase coarse epochs hit the fallback, end-game per-move
-// epochs (a handful of dirty bins) never do.
-const reconcileThreshold = 4
-
-// reconcileStale brings the stale snapshot and the external census back in
-// sync with the live loads at a barrier, incrementally: the per-shard
-// dirty-bin journals are drained in shard order (deterministic replay) and
-// each genuinely changed bin costs one census move plus an
-// ExternalPrefixUpdated window per peer shard — O(changed·P·Δ) total,
-// versus the O(n + P·Δ) full rebuild every barrier used to pay, which at
-// end-game per-move epochs meant O(n) per move. Bins that round-tripped inside the barrier
-// (detached then restored, or moved and moved back) reconcile to a no-op.
-func (s *Sharded) reconcileStale() {
-	dirty := 0
-	for _, sh := range s.shards {
-		dirty += len(sh.dirty)
-	}
-	if s.ext == nil || dirty*reconcileThreshold >= s.n {
-		for _, sh := range s.shards {
-			for _, lb := range sh.dirty {
-				sh.dirtyMark[lb] = false
-			}
-			sh.dirty = sh.dirty[:0]
-			copy(s.stale[sh.lo:sh.hi], sh.cfg.Loads())
-		}
-		s.rebuildExternal()
-		return
-	}
-	for _, sh := range s.shards {
-		for _, lb := range sh.dirty {
-			sh.dirtyMark[lb] = false
-			g := sh.lo + int(lb)
-			l := sh.cfg.Load(int(lb))
-			if o := s.stale[g]; o != l {
-				s.stale[g] = l
-				s.staleMoved(sh.id, g, o, l)
-			}
-		}
-		sh.dirty = sh.dirty[:0]
-	}
-}
-
 // detachPhase is the barrier's source side: drain the shard's own outbox
 // in send order, re-validate against the live source load (it may have
 // changed since the proposal) and the stale destination filter, detach
@@ -1119,10 +682,7 @@ func (s *Sharded) detachPhase(sh *shard) {
 		ld := sh.cfg.Load(src)
 		if ld >= 1 && ld >= s.stale[p.dst]+1 {
 			sh.cfg.RemoveBall(src)
-			if sh.smp != nil {
-				sh.smp.RemoveBall(src)
-			}
-			sh.mark(src)
+			sh.smp.RemoveBall(src)
 			dst := s.shards[s.owner(int(p.dst))]
 			dst.inbox[sh.id] = append(dst.inbox[sh.id],
 				handoff{p.src, p.dst - int32(dst.lo), int32(ld)})
@@ -1142,10 +702,7 @@ func (s *Sharded) landPhase(sh *shard) {
 			dst := int(h.dstLocal)
 			if int(h.srcLoad) >= sh.cfg.Load(dst)+1 {
 				sh.cfg.AddBall(dst)
-				if sh.smp != nil {
-					sh.smp.AddBall(dst)
-				}
-				sh.mark(dst)
+				sh.smp.AddBall(dst)
 				sh.landed++
 			} else {
 				sh.reject[from] = append(sh.reject[from], h.srcGlobal)
@@ -1157,24 +714,17 @@ func (s *Sharded) landPhase(sh *shard) {
 
 // restorePhase restores refused balls at their source (no observable
 // state ever saw them gone: all three phases are inside one barrier),
-// then refreshes this shard's slice of the stale snapshot. Jump mode
-// defers the refresh to reconcileStale, which replays only the journaled
-// dirty bins instead of recopying the whole range.
+// then refreshes this shard's slice of the stale snapshot.
 func (s *Sharded) restorePhase(sh *shard) {
 	for _, peer := range s.shards {
 		for _, g := range peer.reject[sh.id] {
 			l := int(g) - sh.lo
 			sh.cfg.AddBall(l)
-			if sh.smp != nil {
-				sh.smp.AddBall(l)
-			}
-			sh.mark(l)
+			sh.smp.AddBall(l)
 		}
 		peer.reject[sh.id] = peer.reject[sh.id][:0]
 	}
-	if !s.jump {
-		copy(s.stale[sh.lo:sh.hi], sh.cfg.Loads())
-	}
+	copy(s.stale[sh.lo:sh.hi], sh.cfg.Loads())
 }
 
 // barrier drains the proposal outboxes in three deterministic parallel
@@ -1204,12 +754,6 @@ func (s *Sharded) barrier() {
 	s.moves = moves + landed
 	s.crossProposed = proposed
 	s.time = maxT
-	if s.jump {
-		// The live loads just moved: reconcile the stale snapshot and the
-		// external census from the dirty journals before refolding, so
-		// FoldedStats.W (the adaptive epoch signal) is current.
-		s.reconcileStale()
-	}
 	s.refold()
 	s.maybeRepartition()
 }

@@ -12,9 +12,9 @@ package sim
 //     the move-time law; time or activation targets may overshoot by one
 //     block — except UntilTime runs with Engine.SetHorizon set, whose
 //     final block is clamped exactly at the horizon;
-//   - sharded and sharded jump (Sharded, which takes a ShardedStop rather
-//     than a StopCond): at epoch barriers for P > 1, after every
-//     activation (P = 1 plain) or every jump step (P = 1 jump).
+//   - sharded (Sharded, which takes a ShardedStop rather than a
+//     StopCond): at epoch barriers for P > 1, after every activation for
+//     P = 1.
 type StopCond func(e *Engine) bool
 
 // UntilPerfect stops at perfect balance (disc < 1), the paper's balancing

@@ -120,6 +120,19 @@ func (s *Session) topologyCode() (kind, arg int, err error) {
 	}
 }
 
+// checkMetaMode rejects a header engine mode outside the three live
+// modes. Mode 3 gets its own message: it named the removed sharded jump
+// engine, so an artifact carrying it is well-formed but unresumable.
+func checkMetaMode(mode int) error {
+	if mode == 3 {
+		return persist.Corruptf("engine mode 3 names the removed sharded jump engine")
+	}
+	if !EngineMode(mode).valid() {
+		return persist.Corruptf("unknown engine mode %d", mode)
+	}
+	return nil
+}
+
 // sessionOptsFromMeta validates a decoded header and rebuilds the
 // NewSession options that reconstruct the engine shape. Every NewSession
 // panic path is checked here first, so corrupt artifacts surface as
@@ -128,15 +141,14 @@ func sessionOptsFromMeta(n, mode, shards int, strict bool, topoKind, topoArg int
 	if n < 1 {
 		return nil, persist.Corruptf("session over %d bins", n)
 	}
-	if mode < int(DirectEngine) || mode > int(ShardedJumpEngine) {
-		return nil, persist.Corruptf("unknown engine mode %d", mode)
+	if err := checkMetaMode(mode); err != nil {
+		return nil, err
 	}
 	if shards < 0 {
 		return nil, persist.Corruptf("session with %d shards", shards)
 	}
 	m := EngineMode(mode)
-	sharded := m == ShardedEngine || m == ShardedJumpEngine
-	if sharded && (strict || topoKind != 0) {
+	if m == ShardedEngine && (strict || topoKind != 0) {
 		return nil, persist.Corruptf("sharded session with strict rule or topology")
 	}
 	if gsampler < int(GraphSamplerAuto) || gsampler > int(GraphSamplerRejection) {
@@ -474,8 +486,8 @@ func OpenTrace(r io.Reader) (*TraceReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	if mode < int(DirectEngine) || mode > int(ShardedJumpEngine) {
-		return nil, persist.Corruptf("unknown engine mode %d", mode)
+	if err := checkMetaMode(mode); err != nil {
+		return nil, err
 	}
 	if gsampler < int(GraphSamplerAuto) || gsampler > int(GraphSamplerRejection) {
 		return nil, persist.Corruptf("unknown graph sampler %d", gsampler)

@@ -1,6 +1,7 @@
 package rls
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -34,8 +35,6 @@ func snapshotMatrix() []snapshotCase {
 		{"jump-rr-hybrid", []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(RandomRegularTopology(6, 99)), WithSessionGraphSampler(GraphSamplerRejection)}},
 		{"sharded-p1", []SessionOption{WithSessionEngineMode(ShardedEngine), WithSessionShards(1)}},
 		{"sharded-p3", []SessionOption{WithSessionEngineMode(ShardedEngine), WithSessionShards(3)}},
-		{"shardedjump-p1", []SessionOption{WithSessionEngineMode(ShardedJumpEngine), WithSessionShards(1)}},
-		{"shardedjump-p3", []SessionOption{WithSessionEngineMode(ShardedJumpEngine), WithSessionShards(3)}},
 	}
 }
 
@@ -131,7 +130,7 @@ func TestResumeByteIdentical(t *testing.T) {
 // TestResumePreservesShape checks the restored session reports the same
 // shape the original was built with.
 func TestResumePreservesShape(t *testing.T) {
-	s := NewSession(16, 7, WithSessionEngineMode(ShardedJumpEngine), WithSessionShards(3))
+	s := NewSession(16, 7, WithSessionEngineMode(ShardedEngine), WithSessionShards(3))
 	for i := 0; i < 64; i++ {
 		s.AddBallRandom()
 	}
@@ -143,7 +142,7 @@ func TestResumePreservesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Mode() != ShardedJumpEngine || s2.N() != 16 || s2.M() != 64 {
+	if s2.Mode() != ShardedEngine || s2.N() != 16 || s2.M() != 64 {
 		t.Fatalf("restored shape mode=%v n=%d m=%d", s2.Mode(), s2.N(), s2.M())
 	}
 }
@@ -278,6 +277,23 @@ func TestDecodeSnapshotMalformed(t *testing.T) {
 				errors.As(err, &verr):
 			default:
 				t.Fatalf("hybrid flip at %d: untyped error %v", off, err)
+			}
+		}
+	})
+
+	t.Run("removed-mode", func(t *testing.T) {
+		// Engine mode 3 and the sharded payload's reserved fields belonged
+		// to the removed sharded jump engine: artifacts that set them are
+		// well-framed (fresh CRCs) but must fail as ErrCorrupt.
+		for _, c := range removedModeArtifacts(t) {
+			var err error
+			if c.trace {
+				_, err = OpenTrace(bytes.NewReader(c.art))
+			} else {
+				_, err = ResumeSession(bytes.NewReader(c.art))
+			}
+			if !errors.Is(err, persist.ErrCorrupt) {
+				t.Errorf("%s: got %v, want ErrCorrupt", c.name, err)
 			}
 		}
 	})
@@ -502,6 +518,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	for _, c := range removedModeArtifacts(f) {
+		if !c.trace {
+			f.Add(c.art)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ResumeSession(bytes.NewReader(data))
 		if err != nil {
@@ -513,4 +534,148 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("resumed session cannot run: %v", err)
 		}
 	})
+}
+
+// removedModeArtifact is a well-framed artifact that names the removed
+// sharded jump engine, either through engine mode 3 in its header or
+// through a reserved field of its sharded payload.
+type removedModeArtifact struct {
+	name  string
+	trace bool // a trace archive (OpenTrace) rather than a snapshot
+	art   []byte
+}
+
+func removedModeArtifacts(t testing.TB) []removedModeArtifact {
+	t.Helper()
+	direct := NewSession(16, 3)
+	sharded := NewSession(16, 3, WithSessionEngineMode(ShardedEngine), WithSessionShards(3))
+	for _, s := range []*Session{direct, sharded} {
+		for i := 0; i < 48; i++ {
+			s.AddBallRandom()
+		}
+		if err := s.RunFor(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snap, trace bytes.Buffer
+	if err := direct.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	tw, err := direct.NewTraceWriter(&trace, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Point(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var shardedSnap bytes.Buffer
+	if err := sharded.Snapshot(&shardedSnap); err != nil {
+		t.Fatal(err)
+	}
+	mode3 := func(p []byte) []byte {
+		n, _, shards, strict, topoKind, topoArg, topoSeed, gsampler, note, err := decodeMeta(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e persist.Enc
+		e.Int(n)
+		e.Int(3)
+		e.Int(shards)
+		e.Bool(strict)
+		e.Int(topoKind)
+		e.Int(topoArg)
+		e.U64(topoSeed)
+		e.Int(gsampler)
+		e.Bytes8(note)
+		return e.Bytes()
+	}
+	return []removedModeArtifact{
+		{"snapshot meta mode 3", false, reframe(t, snap.Bytes(), persist.MagicSnapshot, sectMeta, mode3)},
+		{"trace meta mode 3", true, reframe(t, trace.Bytes(), persist.MagicTrace, sectMeta, mode3)},
+		{"sharded jump flag", false, reframe(t, shardedSnap.Bytes(), persist.MagicSnapshot, sectSharded, setShardedReserved(t, "jump"))},
+		{"sharded horizon", false, reframe(t, shardedSnap.Bytes(), persist.MagicSnapshot, sectSharded, setShardedReserved(t, "horizon"))},
+		{"sharded external census flag", false, reframe(t, shardedSnap.Bytes(), persist.MagicSnapshot, sectSharded, setShardedReserved(t, "hasExt"))},
+	}
+}
+
+// reframe copies an artifact section by section, passing every payload of
+// the given kind through edit, and writes fresh CRCs — so the decoder
+// sees a well-framed artifact and must reject the payload itself.
+func reframe(t testing.TB, art []byte, magic string, kind uint64, edit func([]byte) []byte) []byte {
+	t.Helper()
+	br := bufio.NewReader(bytes.NewReader(art))
+	if err := persist.ReadHeader(br, magic); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := persist.WriteHeader(&out, magic); err != nil {
+		t.Fatal(err)
+	}
+	sr := persist.NewSectionReader(br)
+	for {
+		k, p, err := sr.Next()
+		if err == io.EOF {
+			return out.Bytes()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == kind {
+			p = edit(p)
+		}
+		if err := persist.WriteSection(&out, k, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// setShardedReserved returns an edit that sets one reserved field of a
+// sharded engine payload — "jump", "horizon" or "hasExt" — to a nonzero
+// value. It walks the payload's fixed prefix to find the field's bytes.
+func setShardedReserved(t testing.TB, field string) func([]byte) []byte {
+	return func(p []byte) []byte {
+		p = append([]byte(nil), p...)
+		d := persist.NewDec(p)
+		at := func() int { return len(p) - d.Remaining() }
+		d.Int() // n
+		d.Int() // p
+		d.Bool()
+		jump := at() - 1
+		d.F64() // epoch
+		d.Ints()
+		for i := 0; i < 4; i++ {
+			d.U64() // root RNG
+		}
+		d.Ints() // stale loads
+		d.F64()  // time
+		for i := 0; i < 4; i++ {
+			d.I64() // acts, moves, cross proposed/applied
+		}
+		horizon := at()
+		d.F64()
+		d.Bool()
+		d.Int()
+		d.Int()
+		d.I64()
+		d.Bool()
+		hasExt := at() - 1
+		if d.Err() != nil {
+			t.Fatal(d.Err())
+		}
+		switch field {
+		case "jump":
+			p[jump] = 1
+		case "horizon":
+			p[horizon+7] = 0x3f // 1.0 little-endian: 00 … 00 f0 3f
+			p[horizon+6] = 0xf0
+		case "hasExt":
+			p[hasExt] = 1
+		default:
+			t.Fatalf("unknown reserved field %q", field)
+		}
+		return p
+	}
 }

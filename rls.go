@@ -126,7 +126,9 @@ func RandomRegularTopology(d int, seed uint64) Topology {
 	return Topology{rrD: d, rrSeed: seed}
 }
 
-// EngineMode selects how a run is simulated.
+// EngineMode selects how a run is simulated. Value 3 is reserved for a
+// removed sharded jump mode: Runner and Session reject it, and snapshots
+// and trace archives that name it fail to decode.
 type EngineMode int
 
 const (
@@ -161,37 +163,21 @@ const (
 	// conditions and traces coarsen to epoch granularity for P > 1, while
 	// P = 1 reproduces the direct engine byte-for-byte.
 	ShardedEngine
-	// ShardedJumpEngine composes the two accelerations: WithShards
-	// goroutine workers as in ShardedEngine, but each shard maintains a
-	// level index over its bins — its local move weight plus an external
-	// weight against the stale cross-shard snapshot — and skips its null
-	// activations in geometric blocks as in JumpEngine, classifying each
-	// eventful activation as a local move (applied immediately) or a
-	// cross-shard proposal (queued for the barrier). Epochs adapt to the
-	// folded global move weight, shrinking relative to the activation
-	// scale as the move rate drops and flooring at per-move-batch epochs,
-	// so one run covers the dense regime (parallel wins) and the end-game
-	// (jump wins) without picking a mode per regime (see
-	// internal/sim.NewShardedJump). Experiment A6 KS-validates the
-	// balancing-time law against DirectEngine; P = 1 is byte-identical to
-	// JumpEngine. Plain RLS on the complete topology only; granularity is
-	// epoch barriers for P > 1, jump steps for P = 1, and time-targeted
-	// runs stop exactly at the horizon (never past it).
-	ShardedJumpEngine
 )
 
-// String returns "direct", "jump", "sharded", or "shardedjump".
+// String returns "direct", "jump", or "sharded".
 func (m EngineMode) String() string {
 	switch m {
 	case JumpEngine:
 		return "jump"
 	case ShardedEngine:
 		return "sharded"
-	case ShardedJumpEngine:
-		return "shardedjump"
 	}
 	return "direct"
 }
+
+// valid reports whether m names one of the three engine modes.
+func (m EngineMode) valid() bool { return m >= DirectEngine && m <= ShardedEngine }
 
 // GraphSampler selects how the jump engine maintains the move weight on
 // a graph topology. It never changes the balancing law — only which
@@ -268,20 +254,18 @@ func WithFenwickEngine() Option { return func(r *Runner) { r.fenwick = true } }
 // complete topology and the plain rule on regular graph topologies.
 func WithEngineMode(m EngineMode) Option { return func(r *Runner) { r.mode = m } }
 
-// WithShards sets the sharded engines' worker count P (default
+// WithShards sets the sharded engine's worker count P (default
 // sim.DefaultShards; clamped to the bin count); it composes with
-// ShardedEngine and ShardedJumpEngine. The shard count is part of the
-// random-stream layout, so fixed-seed runs reproduce only for the same P.
+// ShardedEngine. The shard count is part of the random-stream layout, so
+// fixed-seed runs reproduce only for the same P.
 func WithShards(p int) Option { return func(r *Runner) { r.shards = p } }
 
-// WithShardEpoch sets the sharded engines' epoch length in continuous
+// WithShardEpoch sets the sharded engine's epoch length in continuous
 // time. Smaller epochs track the sequential process more closely —
 // cross-shard moves and stop checks land at barriers — while larger ones
-// amortize the barrier; the A5/A6 experiments run fine epochs, the dense
+// amortize the barrier; the A5 experiment runs fine epochs, the dense
 // benchmark coarse ones. The default (0 = auto) is a fixed
-// activations-per-shard epoch for ShardedEngine and the adaptive policy
-// for ShardedJumpEngine: epochs shrink with the folded global move
-// weight as the run thins out, floored at per-move-batch epochs.
+// activations-per-shard epoch.
 func WithShardEpoch(dt float64) Option { return func(r *Runner) { r.shardEpoch = dt } }
 
 // WithActivationBudget caps the number of activations (default 10^9).
@@ -429,9 +413,9 @@ func (r *Runner) mover() (sim.Mover, error) {
 	return core.RLS{}, nil
 }
 
-// shardedEngine builds the sharded or sharded-jump engine, rejecting the
-// options neither supports (the sharded modes remain plain-rule,
-// complete-topology only; see the EngineMode docs).
+// shardedEngine builds the sharded engine, rejecting the options it does
+// not support (it remains plain-rule, complete-topology only; see the
+// EngineMode docs).
 func (r *Runner) shardedEngine() (*sim.Sharded, error) {
 	if r.strict || r.topology.active() || r.speeds != nil {
 		return nil, fmt.Errorf("rls: the %s engine supports neither the strict tie rule, nor topologies, nor bin speeds; DirectEngine supports all three, JumpEngine the first two", r.mode)
@@ -450,13 +434,6 @@ func (r *Runner) shardedEngine() (*sim.Sharded, error) {
 	}
 	stream := rng.New(r.seed)
 	v := r.placement.gen.Generate(r.n, r.m, stream)
-	if r.mode == ShardedJumpEngine {
-		e := sim.NewShardedJump(v, r.shards, r.shardEpoch, stream)
-		if r.target.kind == targetTime {
-			e.SetHorizon(r.target.arg)
-		}
-		return e, nil
-	}
 	return sim.NewSharded(v, r.shards, r.shardEpoch, stream), nil
 }
 
@@ -512,6 +489,9 @@ func (r *Runner) shardedResult(res sim.Result, ph *PhaseTimes) Result {
 
 // engine builds the configured engine and tracker.
 func (r *Runner) engine() (*sim.Engine, *core.PhaseTracker, error) {
+	if !r.mode.valid() {
+		return nil, nil, fmt.Errorf("rls: unknown engine mode %d", int(r.mode))
+	}
 	if r.mode == JumpEngine {
 		if r.speeds != nil {
 			return nil, nil, fmt.Errorf("rls: the jump engine does not support bin speeds; use DirectEngine")
@@ -585,7 +565,7 @@ func (r *Runner) stop() func(e *sim.Engine) bool {
 // Run executes one run and returns its Result. Configuration errors
 // (mismatched topology or speeds) are returned, not panicked.
 func (r *Runner) Run() (Result, error) {
-	if r.mode == ShardedEngine || r.mode == ShardedJumpEngine {
+	if r.mode == ShardedEngine {
 		e, err := r.shardedEngine()
 		if err != nil {
 			return Result{}, err
@@ -604,7 +584,7 @@ func (r *Runner) Run() (Result, error) {
 // RunTraced is Run plus a trajectory sampled every `every` activations
 // (epoch-granular for the sharded engine with P > 1).
 func (r *Runner) RunTraced(every int64) (Result, []TracePoint, error) {
-	if r.mode == ShardedEngine || r.mode == ShardedJumpEngine {
+	if r.mode == ShardedEngine {
 		e, err := r.shardedEngine()
 		if err != nil {
 			return Result{}, nil, err

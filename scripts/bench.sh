@@ -7,10 +7,8 @@
 # (BenchmarkGraphEndGame), and the dense-degree graph sampler comparison
 # direct vs jump-exact vs jump-hybrid (BenchmarkGraphDense, gated ≥ 5x by
 # check_graphdense.sh) — live churn (BenchmarkSessionChurn), the
-# direct-vs-sharded dense regime (BenchmarkShardedDense), the sharded-jump
-# composition (BenchmarkShardedJumpEndGame,
-# BenchmarkShardedJumpDenseToSparse), and the parallel epoch loop's
-# allocation profile (BenchmarkShardedEpochSteadyState). Unless SCALING=0,
+# direct-vs-sharded dense regime (BenchmarkShardedDense), and the parallel
+# epoch loop's allocation profile (BenchmarkShardedEpochSteadyState). Unless SCALING=0,
 # the rlsweep -scaling study's speedup-vs-P cells are appended to the same
 # file, and unless SERVICELOAD=0 so are the rlsweep -serviceload study's
 # ServiceLoad* cells (event→apply p50/p99 and applied throughput of the
@@ -46,7 +44,7 @@ done
 out=${1:-BENCH_PR$((max_pr + 1)).json}
 benchtime=${BENCHTIME:-3x}
 gomaxprocs=${GOMAXPROCS:-$(nproc)}
-pattern='^(BenchmarkBalanceToPerfection|BenchmarkEndGame|BenchmarkStrictEndGame|BenchmarkGraphEndGame|BenchmarkGraphDense|BenchmarkSessionChurn|BenchmarkShardedDense|BenchmarkShardedJumpEndGame|BenchmarkShardedJumpDenseToSparse|BenchmarkShardedEpochSteadyState|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceAppend)$'
+pattern='^(BenchmarkBalanceToPerfection|BenchmarkEndGame|BenchmarkStrictEndGame|BenchmarkGraphEndGame|BenchmarkGraphDense|BenchmarkSessionChurn|BenchmarkShardedDense|BenchmarkShardedEpochSteadyState|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceAppend)$'
 
 raw=$(mktemp)
 scaling_json=$(mktemp)

@@ -12,12 +12,12 @@ import (
 // (AddBall/RemoveBall/AddBallRandom/RemoveRandomBall), protocol runs
 // (RunFor/RunUntilPerfect), and stats reads (Loads/Disc/M/Time/Moves/
 // Stats) on one Session must be data-race free and keep the engine state
-// consistent, in all four engine modes. Run under -race (the CI race job
+// consistent, in all three engine modes. Run under -race (the CI race job
 // does) this is the gate that makes cmd/rlsd's one-applier-plus-many-
 // readers tenant model sound.
 func TestSessionConcurrentCallers(t *testing.T) {
 	modes := []rls.EngineMode{
-		rls.DirectEngine, rls.JumpEngine, rls.ShardedEngine, rls.ShardedJumpEngine,
+		rls.DirectEngine, rls.JumpEngine, rls.ShardedEngine,
 	}
 	for _, mode := range modes {
 		mode := mode
