@@ -32,7 +32,8 @@
 //   - JumpEngine simulates only the embedded jump chain of productive
 //     moves, the object the paper's analysis is phrased over (Theorem 1,
 //     Lemmas 15–16). A level index over the load histogram maintains the
-//     total move weight W = Σ_v v·count[v]·C(v−1) in O(log Δ) per move;
+//     total move weight W = Σ_v v·count[v]·C(v−1) in O(log Δ) per move,
+//     Δ the current max load (the indexed level range follows it);
 //     each step skips a Geometric(W/(m·n)) block of null activations,
 //     advances time by the matching Gamma(k, m) gap, and samples the
 //     productive (src, dst) pair exactly. Cost is O(log Δ) per move.

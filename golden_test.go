@@ -134,6 +134,18 @@ func TestGoldenJumpVariants(t *testing.T) {
 			loadSum: 0x79c21ec9e9d0c725,
 		},
 		{
+			// From the all-in-one start the level range begins at 2048
+			// levels and must follow the max load down to 32.
+			name: "plain-jump/n=64,m=1024,seed=7",
+			run: func() (Result, error) {
+				return New(64, 1024, WithSeed(7), WithEngineMode(JumpEngine)).Run()
+			},
+			time:    "401be4728a5e5e07",
+			acts:    7186,
+			moves:   2218,
+			loadSum: 0x9d26e7e39f198b25,
+		},
+		{
 			name: "ring-jump/n=32,m=64,seed=5",
 			run: func() (Result, error) {
 				return New(32, 64, WithSeed(5), WithEngineMode(JumpEngine), WithTopology(RingTopology())).Run()
@@ -216,6 +228,61 @@ func TestGoldenSessionChurn(t *testing.T) {
 		wantActs  = int64(1904)
 		wantMoves = int64(429)
 		wantHash  = uint64(0x0fbf28e4e8bb0185)
+	)
+	if got := goldenTime(s.Time()); got != wantTime {
+		t.Errorf("time bits = %s, want %s (t=%v)", got, wantTime, s.Time())
+	}
+	if s.Activations() != wantActs {
+		t.Errorf("activations = %d, want %d", s.Activations(), wantActs)
+	}
+	if s.Moves() != wantMoves {
+		t.Errorf("moves = %d, want %d", s.Moves(), wantMoves)
+	}
+	if got := goldenHash(s.Loads()); got != wantHash {
+		t.Errorf("loads hash = %#x, want %#x", got, wantHash)
+	}
+}
+
+// TestGoldenJumpSessionChurn is TestGoldenSessionChurn in jump mode: the
+// level index serves RandomBin through SampleBallBin, grows its level
+// range on AddBall and shrinks it on RemoveBall. The expected values were
+// recorded before the level range learned to shrink.
+func TestGoldenJumpSessionChurn(t *testing.T) {
+	s := NewSession(16, 99, WithSessionEngineMode(JumpEngine))
+	for i := 0; i < 128; i++ {
+		s.AddBallRandom()
+	}
+	if ok, err := s.RunUntilPerfect(1_000_000); err != nil || !ok {
+		t.Fatalf("initial balance failed: %v", err)
+	}
+	for i := 0; i < 50; i++ {
+		if err := s.AddBall(i % 16); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RemoveRandomBall(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunFor(0.25); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Drain most balls so the max load, and with it the level range,
+	// falls through several powers of two on RemoveBall.
+	for i := 0; i < 112; i++ {
+		if _, err := s.RemoveRandomBall(); err != nil {
+			t.Fatal(err)
+		}
+		if i%16 == 15 {
+			if err := s.RunFor(0.25); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const (
+		wantTime  = "402f4086e124c6be"
+		wantActs  = int64(1925)
+		wantMoves = int64(435)
+		wantHash  = uint64(0xcb03c5757c9736a5)
 	)
 	if got := goldenTime(s.Time()); got != wantTime {
 		t.Errorf("time bits = %s, want %s (t=%v)", got, wantTime, s.Time())

@@ -1,15 +1,24 @@
-// Package fenwick is the one Fenwick (binary indexed) tree shared by
-// every layer that needs prefix sums with point updates: the level
-// index's per-level count/ball/move-weight trees, the jump engine's
-// graph move-weight index, and the Fenwick activation sampler. Deduplicating the three
-// historical copies means the persist codec serializes exactly one
-// tree shape, and a tree's array form is a pure function of its leaf
-// values — so encode(leaves) → From(leaves) round-trips bit-exactly
-// regardless of the Add history that produced it.
+// Package fenwick holds every Fenwick (binary indexed) tree in the repo,
+// for each layer that needs prefix sums with point updates:
+//
+//   - Tree, one column: the jump engine's graph move-weight indexes
+//     (internal/sim jumpgraph.go and jumpgraphhybrid.go), the Fenwick
+//     activation sampler (internal/sim sampler.go) and its snapshot
+//     codec, and the benchmark's Fenwick layer probe (rlsbench);
+//   - Tree3, three columns behind one index walk: the level index of
+//     internal/loadvec (bin count, ball weight and move weight per load
+//     level), which updates two or three adjacent leaves per level
+//     transition and follows the max load with Truncate.
+//
+// A tree's array form is a pure function of its leaf values, so
+// encode(leaves) → From(leaves) round-trips bit-exactly regardless of the
+// Add history that produced it, and the persist codec serializes leaves
+// only.
 //
 // The API is 0-based on the outside (leaf i ∈ [0, n)) and 1-based
 // internally, as usual for Fenwick trees. All operations are O(log n)
-// except From and Leaves, which are O(n).
+// except From, Build3 and Leaves, which are O(n), and Truncate, which
+// is O(1).
 package fenwick
 
 // Tree holds cumulative sums over n int64 leaves.
@@ -100,9 +109,4 @@ func (t *Tree) Leaves() []int64 {
 		}
 	}
 	return vals
-}
-
-// Clone deep-copies the tree.
-func (t *Tree) Clone() *Tree {
-	return &Tree{tree: append([]int64(nil), t.tree...), n: t.n, top: t.top}
 }

@@ -68,10 +68,5 @@ func TestTreeAgainstNaive(t *testing.T) {
 				t.Fatalf("n=%d Leaves()[%d] = %d, want %d", n, i, got[i], vals[i])
 			}
 		}
-		cl := tr.Clone()
-		cl.Add(0, 100)
-		if tr.Prefix(0) == cl.Prefix(0) {
-			t.Fatal("Clone shares state with the original")
-		}
 	}
 }

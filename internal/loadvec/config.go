@@ -199,6 +199,7 @@ func (c *Config) Move(src, dst int) {
 	if c.idx != nil {
 		c.idx.transition(src, v, v-1)
 		c.idx.transition(dst, w, w+1)
+		c.idx.fit(c.max)
 	}
 }
 
@@ -277,6 +278,7 @@ func (c *Config) RemoveBall(bin int) {
 	}
 	if c.idx != nil {
 		c.idx.transition(bin, v, v-1)
+		c.idx.fit(c.max)
 	}
 }
 

@@ -14,12 +14,14 @@ import (
 //
 //   - binsAt[v] lists the bins currently at load v (swap-delete, O(1)),
 //     so a uniform bin within a level is one array index;
-//   - cnt is a Fenwick tree over count[v], giving the prefix bin count
+//   - one three-column Fenwick tree (fenwick.Tree3) over the levels
+//     holds, per level v, the three columns below;
+//   - colCount is count[v], giving the prefix bin count
 //     C(v) = #{bins with load ≤ v} and weighted level sampling for the
 //     destination side;
-//   - bal is a Fenwick tree over v·count[v] (total weight m), giving
+//   - colBalls is v·count[v] (total weight m), giving
 //     load-proportional — i.e. uniform-ball — bin sampling;
-//   - mvw is a Fenwick tree over the per-level move weight
+//   - colMove is the per-level move weight
 //     s[v] = v·count[v]·C(v−gap), whose total W = Σ_v s[v] is exactly
 //     (m·n)·P(a uniform activation is a productive move): the activated
 //     ball sits at level v with probability v·count[v]/m and its uniform
@@ -29,32 +31,54 @@ import (
 // destinations with load ≤ v−1 are eligible), 2 is the strict rule of
 // [12]/[11] (move iff ℓ_src > ℓ_dst + 1, destinations with load ≤ v−2).
 //
-// A level transition touches count at two adjacent levels and C at one,
-// so at most three s-entries change (two for gap = 1, where the C-shift
-// lands on a level whose count also changed) and every update is
-// O(log Δ) in the indexed level range. The index is self-contained: it
-// reads only its own lists and trees, never the Config histogram
+// A level transition touches count at two adjacent levels lo, lo+1 and C
+// at lo, so s changes at lo and lo+1, and for gap = 2 also at lo+2. All
+// new s-values follow from one prefix query C(lo−gap) plus list lengths,
+// and all column deltas go up the tree in one merged walk over the
+// adjacent leaves (Tree3.AddPair, Tree3.AddTriple).
+//
+// The indexed level range follows the max load Δ. It always exceeds Δ
+// and doubles when a bin reaches it; once Δ+1 falls below a quarter of
+// it, it is cut back in O(1) (Tree3.Truncate) to the smallest power of
+// two ≥ 4 above Δ+1. So the range is at most 4·(Δ+1), and every
+// operation is O(log Δ) in the *current* max load, not in the largest
+// load the configuration ever held. The index is self-contained: it
+// reads only its own lists and tree, never the Config histogram
 // mid-update, so the two transitions of a Move may be applied
 // sequentially.
 type levelIndex struct {
-	gap    int           // tie rule: eligible destinations have load ≤ v−gap
-	binsAt [][]int32     // level -> bins at that level (unordered)
-	pos    []int32       // bin -> position within binsAt[load]
-	cnt    *fenwick.Tree // count[v]
-	bal    *fenwick.Tree // v·count[v]
-	mvw    *fenwick.Tree // s[v] = v·count[v]·C(v−1)
-	sval   []int64       // current s[v] values (to derive Fenwick deltas)
-	wTotal int64         // W = Σ_v s[v]
-	size   int           // number of indexed levels (levels 0..size-1)
+	gap    int            // tie rule: eligible destinations have load ≤ v−gap
+	binsAt [][]int32      // level -> bins at that level (unordered)
+	pos    []int32        // bin -> position within binsAt[load]
+	tree   *fenwick.Tree3 // columns colCount, colBalls, colMove
+	sval   []int64        // current s[v] values (to derive Fenwick deltas)
+	wTotal int64          // W = Σ_v s[v]
+	size   int            // number of indexed levels (levels 0..size-1)
+}
+
+// The level index's Fenwick columns.
+const (
+	colCount = iota // count[v]
+	colBalls        // v·count[v]
+	colMove         // s[v] = v·count[v]·C(v−gap)
+)
+
+// minLevels is the smallest indexed level range.
+const minLevels = 4
+
+// levelsFor returns the smallest power of two ≥ minLevels above maxLoad+1.
+func levelsFor(maxLoad int) int {
+	size := minLevels
+	for size <= maxLoad+1 {
+		size *= 2
+	}
+	return size
 }
 
 // newLevelIndex builds the index for the configuration's current state
 // with the given tie gap (1 = plain, 2 = strict).
 func newLevelIndex(c *Config, gap int) *levelIndex {
-	size := 4
-	for size <= c.max+1 {
-		size *= 2
-	}
+	size := levelsFor(c.max)
 	x := &levelIndex{
 		gap:    gap,
 		binsAt: make([][]int32, size),
@@ -70,38 +94,29 @@ func newLevelIndex(c *Config, gap int) *levelIndex {
 	return x
 }
 
-// rebuildTrees derives all three Fenwick trees (and sval/wTotal) from the
-// binsAt lists alone. Used on construction and when the level range grows.
+// rebuildTrees derives the Fenwick tree (and sval/wTotal) from the
+// binsAt lists alone in O(size). Used on construction, on decode, and
+// when the level range grows.
 func (x *levelIndex) rebuildTrees() {
-	x.cnt = fenwick.New(x.size)
-	x.bal = fenwick.New(x.size)
-	x.mvw = fenwick.New(x.size)
 	x.wTotal = 0
-	for v, lst := range x.binsAt {
-		if len(lst) == 0 {
-			continue
+	var cum, cumPrev int64 // C(v−1) and C(v−2)
+	x.tree = fenwick.Build3(x.size, func(v int) fenwick.Cols {
+		cn := int64(len(x.binsAt[v]))
+		elig := cum
+		if x.gap == 2 {
+			elig = cumPrev
 		}
-		x.cnt.Add(v, int64(len(lst)))
-		if v > 0 {
-			x.bal.Add(v, int64(v)*int64(len(lst)))
-		}
-	}
-	for v := range x.sval {
-		x.sval[v] = 0
-		if v > 0 {
-			if cn := int64(len(x.binsAt[v])); cn > 0 {
-				x.sval[v] = int64(v) * cn * x.cnt.Prefix(v-x.gap)
-			}
-		}
-		if x.sval[v] != 0 {
-			x.mvw.Add(v, x.sval[v])
-			x.wTotal += x.sval[v]
-		}
-	}
+		s := int64(v) * cn * elig
+		x.sval[v] = s
+		x.wTotal += s
+		cumPrev = cum
+		cum += cn
+		return fenwick.Cols{cn, int64(v) * cn, s}
+	})
 }
 
 // grow extends the indexed level range to cover `need` and rebuilds the
-// trees from the lists (amortized O(1) per transition by doubling).
+// tree from the lists (amortized O(1) per transition by doubling).
 func (x *levelIndex) grow(need int) {
 	size := x.size
 	for size <= need {
@@ -114,12 +129,31 @@ func (x *levelIndex) grow(need int) {
 	x.rebuildTrees()
 }
 
+// fit cuts the level range back to levelsFor(maxLoad) once maxLoad+1
+// falls below a quarter of it. The dropped levels hold no bins, so their
+// lists, s-values and Fenwick leaves are all zero and the cut is O(1).
+// Shrinking at a quarter while growing at the full range leaves a factor
+// of two between the thresholds, so grow's O(size) rebuild stays
+// amortized O(1) per transition.
+func (x *levelIndex) fit(maxLoad int) {
+	if maxLoad+1 >= x.size/4 {
+		return
+	}
+	size := levelsFor(maxLoad)
+	x.binsAt = x.binsAt[:size]
+	x.sval = x.sval[:size]
+	x.tree.Truncate(size)
+	x.size = size
+}
+
 // transition records that bin moved from level `from` to level `to`
-// (|from−to| = 1). It updates the lists, the count and ball-weight trees,
-// and refreshes the move weight at exactly the levels whose inputs
-// changed: count at from/to, and C at min(from,to) which feeds
-// s[min+gap] — for gap = 1 that is s[max], already refreshed; for
-// gap = 2 it is the extra level max+1.
+// (|from−to| = 1). With lo = min(from, to) it updates the lists, then
+// recomputes s at the levels whose inputs changed — count at lo and
+// lo+1, and C(lo), which feeds s[lo+gap] (for gap = 1 that is lo+1
+// again; for gap = 2 the extra level lo+2) — from the single prefix
+// query C(lo−gap) plus list lengths. Finally one merged walk carries the
+// count, ball and move-weight deltas of those adjacent levels up the
+// tree.
 func (x *levelIndex) transition(bin, from, to int) {
 	if to >= x.size {
 		x.grow(to)
@@ -133,43 +167,44 @@ func (x *levelIndex) transition(bin, from, to int) {
 	x.pos[bin] = int32(len(x.binsAt[to]))
 	x.binsAt[to] = append(x.binsAt[to], int32(bin))
 
-	x.cnt.Add(from, -1)
-	x.cnt.Add(to, 1)
-	if from > 0 {
-		x.bal.Add(from, int64(-from))
+	lo, up := from, int64(1) // up: the bin rose from lo to lo+1
+	if to < from {
+		lo, up = to, -1
 	}
-	if to > 0 {
-		x.bal.Add(to, int64(to))
+	hi := lo + 1
+	dlo := fenwick.Cols{-up, -up * int64(lo), 0}
+	dhi := fenwick.Cols{up, up * int64(hi), 0}
+	base := x.tree.Prefix(colCount, lo-x.gap) // C(lo−gap), feeds s[lo]
+	next := base                              // C(hi−gap), feeds s[hi]
+	if u := hi - x.gap; u >= 0 {
+		next += int64(len(x.binsAt[u]))
 	}
-	x.refreshWeight(from)
-	x.refreshWeight(to)
-	if x.gap > 1 {
-		lo := from
-		if to < lo {
-			lo = to
+	dlo[colMove] = x.setWeight(lo, base)
+	dhi[colMove] = x.setWeight(hi, next)
+	if x.gap == 2 && lo+2 < x.size {
+		// C(lo) = C(lo−1) + count[lo] feeds s[lo+2]. Levels at or past
+		// x.size hold no bins (s = 0).
+		if ds := x.setWeight(lo+2, next+int64(len(x.binsAt[lo]))); ds != 0 {
+			x.tree.AddTriple(lo, dlo, dhi, fenwick.Cols{0, 0, ds})
+			return
 		}
-		// C(lo) changed; it feeds s[lo+gap], which for gap > 1 is neither
-		// `from` nor `to`. Levels at or past x.size hold no bins (s = 0).
-		if u := lo + x.gap; u < x.size {
-			x.refreshWeight(u)
-		}
 	}
+	x.tree.AddPair(lo, dlo, dhi)
 }
 
-// refreshWeight recomputes s[v] = v·count[v]·C(v−gap) from the live
-// trees and applies the difference as a point update.
-func (x *levelIndex) refreshWeight(v int) {
-	var s int64
-	if v > 0 {
-		if cn := int64(len(x.binsAt[v])); cn > 0 {
-			s = int64(v) * cn * x.cnt.Prefix(v-x.gap)
-		}
-	}
-	if d := s - x.sval[v]; d != 0 {
-		x.mvw.Add(v, d)
-		x.sval[v] = s
-		x.wTotal += d
-	}
+// setWeight sets s[v] = v·count[v]·elig, where elig = C(v−gap), and
+// returns the change to apply to the move-weight column.
+func (x *levelIndex) setWeight(v int, elig int64) int64 {
+	s := int64(v) * int64(len(x.binsAt[v])) * elig
+	d := s - x.sval[v]
+	x.sval[v] = s
+	x.wTotal += d
+	return d
+}
+
+// leaf returns level v's value in the given Fenwick column.
+func (x *levelIndex) leaf(col, v int) int64 {
+	return x.tree.Prefix(col, v) - x.tree.Prefix(col, v-1)
 }
 
 // clone returns an independent deep copy of the index.
@@ -178,9 +213,7 @@ func (x *levelIndex) clone() *levelIndex {
 		gap:    x.gap,
 		binsAt: make([][]int32, len(x.binsAt)),
 		pos:    append([]int32(nil), x.pos...),
-		cnt:    x.cnt.Clone(),
-		bal:    x.bal.Clone(),
-		mvw:    x.mvw.Clone(),
+		tree:   x.tree.Clone(),
 		sval:   append([]int64(nil), x.sval...),
 		wTotal: x.wTotal,
 		size:   x.size,
@@ -255,11 +288,11 @@ func (c *Config) SampleMovePair(r *rng.RNG) (src, dst int) {
 	if x.wTotal <= 0 {
 		panic("loadvec: SampleMovePair with zero move weight")
 	}
-	v, _ := x.mvw.Find(r.Int63n(x.wTotal))
+	v, _ := x.tree.Find(colMove, r.Int63n(x.wTotal))
 	lst := x.binsAt[v]
 	src = int(lst[r.Intn(len(lst))])
-	below := x.cnt.Prefix(v - x.gap) // ≥ 1: s[v] > 0 requires an eligible level
-	w, rem := x.cnt.Find(r.Int63n(below))
+	below := x.tree.Prefix(colCount, v-x.gap) // ≥ 1: s[v] > 0 requires an eligible level
+	w, rem := x.tree.Find(colCount, r.Int63n(below))
 	dst = int(x.binsAt[w][rem])
 	return src, dst
 }
@@ -275,7 +308,7 @@ func (c *Config) SampleBallBin(r *rng.RNG) int {
 	if c.m == 0 {
 		panic("loadvec: SampleBallBin with no balls")
 	}
-	v, rem := x.bal.Find(r.Int63n(int64(c.m)))
+	v, rem := x.tree.Find(colBalls, r.Int63n(int64(c.m)))
 	return int(x.binsAt[v][rem/int64(v)])
 }
 
@@ -288,6 +321,10 @@ func (c *Config) validateIndex() error {
 	}
 	if c.max >= x.size {
 		return fmt.Errorf("loadvec: index covers %d levels, max load is %d", x.size, c.max)
+	}
+	if len(x.binsAt) != x.size || len(x.sval) != x.size || x.tree.N() != x.size {
+		return fmt.Errorf("loadvec: index of %d levels has %d lists, %d weights, %d tree leaves",
+			x.size, len(x.binsAt), len(x.sval), x.tree.N())
 	}
 	for i, v := range c.loads {
 		p := int(x.pos[i])
@@ -304,11 +341,11 @@ func (c *Config) validateIndex() error {
 		if cn != c.CountAt(v) {
 			return fmt.Errorf("loadvec: binsAt[%d] has %d bins, histogram says %d", v, cn, c.CountAt(v))
 		}
-		if got := x.cnt.Prefix(v) - x.cnt.Prefix(v-1); got != int64(cn) {
-			return fmt.Errorf("loadvec: cnt tree at %d = %d, want %d", v, got, cn)
+		if got := x.leaf(colCount, v); got != int64(cn) {
+			return fmt.Errorf("loadvec: count column at %d = %d, want %d", v, got, cn)
 		}
-		if got := x.bal.Prefix(v) - x.bal.Prefix(v-1); got != int64(v)*int64(cn) {
-			return fmt.Errorf("loadvec: bal tree at %d = %d, want %d", v, got, int64(v)*int64(cn))
+		if got := x.leaf(colBalls, v); got != int64(v)*int64(cn) {
+			return fmt.Errorf("loadvec: ball column at %d = %d, want %d", v, got, int64(v)*int64(cn))
 		}
 		elig := cum // C(v−1) for plain, C(v−2) for strict
 		if x.gap == 2 {
@@ -318,8 +355,8 @@ func (c *Config) validateIndex() error {
 		if x.sval[v] != want {
 			return fmt.Errorf("loadvec: sval[%d] = %d, want %d", v, x.sval[v], want)
 		}
-		if got := x.mvw.Prefix(v) - x.mvw.Prefix(v-1); got != want {
-			return fmt.Errorf("loadvec: mvw tree at %d = %d, want %d", v, got, want)
+		if got := x.leaf(colMove, v); got != want {
+			return fmt.Errorf("loadvec: move-weight column at %d = %d, want %d", v, got, want)
 		}
 		cumPrev = cum
 		cum += int64(cn)

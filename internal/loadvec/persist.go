@@ -8,11 +8,19 @@ import (
 // resume contract dictates what is serialized verbatim versus rebuilt:
 // the per-level bin *lists* (binsAt) evolved under swap-deletes, so their
 // element order is simulation state and ships verbatim; the Fenwick
-// trees, position indices, and histogram stats are pure functions of
+// tree, position indices, and histogram stats are pure functions of
 // those lists and are rederived on decode via the same rebuildTrees path
-// the live structures use — so a
-// decoded index is indistinguishable from one that never left memory,
-// with no rebuild-from-scratch divergence.
+// the live structures use — so a decoded index is indistinguishable from
+// one that never left memory, with no rebuild-from-scratch divergence.
+//
+// The level range `size` ships too. It follows the max load: a live
+// index is cut back once max+1 falls below size/4, so a snapshot's size
+// is at most 4·(max+1). Older writers never cut the range back and
+// wrote the largest range the run ever needed; those snapshots still
+// decode. The decoded index keeps the written size, so it re-encodes
+// byte for byte, and its next Move or RemoveBall cuts it back. Levels
+// past the max hold no bins, so a wider range draws exactly as the
+// fitted one would.
 
 // EncodeState appends the configuration (and its level index, when
 // enabled) to the payload.

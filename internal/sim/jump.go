@@ -31,7 +31,8 @@ import (
 // this — while time- or activation-count conditions are checked at move
 // granularity and may overshoot by one block.
 //
-// Cost: O(log Δ) per move instead of O(1) per activation — near balance,
+// Cost: O(log Δ) per move, Δ the current max load (the level index's
+// range follows it down), instead of O(1) per activation — near balance,
 // where the direct engine wastes ~m·n/W activations per move, this is
 // the difference between O(moves) and O(activations) for a whole run.
 //

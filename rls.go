@@ -143,12 +143,13 @@ const (
 	// Gamma(k, m) gap, and the move is sampled exactly from the live move
 	// weight (see internal/sim.NewJumpEngine). The balancing-time law is
 	// identical to DirectEngine (experiments A4/A7/A8 KS-test it); cost
-	// drops from O(activations) to O(moves·log Δ). Three rule/topology
-	// variants compose: plain and strict tie rules on the complete
-	// topology (the move weight shifts from C(v−1) to C(v−2) eligible
-	// destinations), and the plain rule on any regular graph topology
-	// (per-source admissible-slot counts, O(Δ²+Δ·log n) per move — built
-	// for bounded degree). Strict+topology and bin speeds remain
+	// drops from O(activations) to O(moves·log Δ), Δ the current max
+	// load. Three rule/topology variants compose: plain and strict tie
+	// rules on the complete topology (the move weight shifts from C(v−1)
+	// to C(v−2) eligible destinations), and the plain rule on any regular
+	// graph topology (per-source admissible-slot counts,
+	// O(Δ_G²+Δ_G·log n) per move, Δ_G the degree — built for bounded
+	// degree). Strict+topology and bin speeds remain
 	// DirectEngine-only; per-activation traces coarsen to per-move blocks.
 	JumpEngine
 	// ShardedEngine partitions the bins into WithShards contiguous ranges

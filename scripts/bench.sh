@@ -14,7 +14,9 @@
 # ServiceLoad* cells (event→apply p50/p99 and applied throughput of the
 # multi-tenant rlsd service). The persistence layer rides along as
 # BenchmarkSnapshot/BenchmarkRestore/BenchmarkTraceAppend — ns/op plus
-# artifact compactness in bytes/ball. Shard ratios need as many hardware
+# artifact compactness in bytes/ball. BenchmarkLevelIndex is the level
+# index layer on its own: Move and SampleMovePair at n = 16384, m = 16n,
+# mid-drain and balanced, plain and strict. Shard ratios need as many hardware
 # threads as shards — the JSON header records the core count and
 # GOMAXPROCS.
 #
@@ -44,7 +46,7 @@ done
 out=${1:-BENCH_PR$((max_pr + 1)).json}
 benchtime=${BENCHTIME:-3x}
 gomaxprocs=${GOMAXPROCS:-$(nproc)}
-pattern='^(BenchmarkBalanceToPerfection|BenchmarkEndGame|BenchmarkStrictEndGame|BenchmarkGraphEndGame|BenchmarkGraphDense|BenchmarkSessionChurn|BenchmarkShardedDense|BenchmarkShardedEpochSteadyState|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceAppend)$'
+pattern='^(BenchmarkBalanceToPerfection|BenchmarkEndGame|BenchmarkStrictEndGame|BenchmarkGraphEndGame|BenchmarkGraphDense|BenchmarkSessionChurn|BenchmarkShardedDense|BenchmarkShardedEpochSteadyState|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceAppend|BenchmarkLevelIndex)$'
 
 raw=$(mktemp)
 scaling_json=$(mktemp)

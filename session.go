@@ -28,7 +28,7 @@ import (
 // Sessions run in any engine mode: the default DirectEngine simulates
 // every activation (O(1) per churn event, O(1) per activation); the
 // JumpEngine simulates only productive moves (O(log Δ) per churn event
-// and per move), which makes long converged stretches — where the direct
+// and per move, Δ the current max load), which makes long converged stretches — where the direct
 // engine burns almost all activations on rejected null moves — nearly
 // free; the ShardedEngine partitions the bins across goroutine workers
 // for the dense regime, hashing each churn event to the owning shard so
@@ -345,7 +345,8 @@ type SessionStats struct {
 }
 
 // AddBall inserts one ball into the given bin (a user joining): O(1) in
-// direct and sharded modes, O(log Δ) in jump mode.
+// direct and sharded modes, O(log Δ) in jump mode (Δ the current max
+// load).
 func (s *Session) AddBall(bin int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -367,7 +368,8 @@ func (s *Session) AddBallRandom() int {
 }
 
 // RemoveBall removes one ball from the given bin (a user leaving): O(1)
-// in direct and sharded modes, O(log Δ) in jump mode.
+// in direct and sharded modes, O(log Δ) in jump mode (Δ the current max
+// load).
 func (s *Session) RemoveBall(bin int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
