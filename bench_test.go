@@ -327,7 +327,7 @@ func BenchmarkShardedDense(b *testing.B) {
 // BenchmarkSessionChurnCycle measures a join/leave/rebalance churn cycle
 // through the Session API.
 func BenchmarkSessionChurnCycle(b *testing.B) {
-	s := NewSession(64, 7)
+	s := newTestSession(b, 64, 7)
 	for i := 0; i < 512; i++ {
 		s.AddBallRandom()
 	}
@@ -353,7 +353,7 @@ func BenchmarkSessionChurnCycle(b *testing.B) {
 // rebuild-per-event strategy.
 func BenchmarkSessionChurn(b *testing.B) {
 	const n, m = 1024, 100_000
-	s := NewSession(n, 7)
+	s := newTestSession(b, n, 7)
 	for i := 0; i < m; i++ {
 		s.AddBallRandom()
 	}

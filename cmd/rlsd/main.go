@@ -49,7 +49,7 @@ func main() {
 	var cfg daemonConfig
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.IntVar(&cfg.maxSessions, "max-sessions", 4096, "maximum live sessions (503 beyond)")
-	flag.IntVar(&cfg.maxBins, "max-bins", 1<<20, "maximum bins per session")
+	flag.IntVar(&cfg.maxBins, "max-bins", 1<<20, "maximum bins per session, and bins·d for a random-<d>-regular topology")
 	flag.IntVar(&cfg.maxBatch, "max-batch", 4096, "maximum events per POST batch")
 	flag.IntVar(&cfg.queueDepth, "queue", 256, "per-session event queue depth (429 when full)")
 	flag.Float64Var(&cfg.rate, "rate", 1000, "per-session event admission rate, events/sec (0 = unlimited)")

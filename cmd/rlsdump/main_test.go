@@ -14,7 +14,10 @@ import (
 func writeArtifacts(t *testing.T) (snapPath, tracePath string) {
 	t.Helper()
 	dir := t.TempDir()
-	s := rls.NewSession(16, 3, rls.WithSessionEngineMode(rls.JumpEngine))
+	s, err := rls.NewSession(16, 3, rls.WithSessionEngineMode(rls.JumpEngine))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 48; i++ {
 		s.AddBallRandom()
 	}

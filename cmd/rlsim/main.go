@@ -116,81 +116,45 @@ func withProfiles(cpuprof, memprof string, f func() error) error {
 	return nil
 }
 
-// parseTopology maps the -topology flag onto an rls.Topology. The ring,
-// torus, hypercube, and expander adapt their shape to n the way the
-// library constructors expect; "random-<d>-regular" builds its adjacency
-// deterministically from the run seed, so a fixed (seed, n, d) triple
-// reproduces the same graph. active reports whether the choice restricts
-// sampling at all (false for "complete").
-func parseTopology(topology string, n int, seed uint64) (t rls.Topology, active bool, err error) {
-	switch topology {
-	case "complete":
-		return rls.CompleteTopology(), false, nil
-	case "ring":
-		return rls.RingTopology(), true, nil
-	case "torus":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		return rls.TorusTopology(side), true, nil
-	case "hypercube":
-		dim := 0
-		for 1<<dim < n {
-			dim++
-		}
-		return rls.HypercubeTopology(dim), true, nil
-	case "expander":
-		return rls.ExpanderTopology(), true, nil
-	}
-	if d, ok := parseRandomRegular(topology); ok {
-		return rls.RandomRegularTopology(d, seed), true, nil
-	}
-	return rls.Topology{}, false, fmt.Errorf("unknown topology %q", topology)
+// shape is the engine-shape flags (-engine, -topology, -graphsampler)
+// parsed through the library's name codec; the Runner or Session that
+// receives them decides whether they compose.
+type shape struct {
+	mode    rls.EngineMode
+	topo    rls.Topology
+	sampler rls.GraphSampler
 }
 
-// parseRandomRegular recognizes "random-<d>-regular" and returns d.
-func parseRandomRegular(s string) (int, bool) {
-	if !strings.HasPrefix(s, "random-") || !strings.HasSuffix(s, "-regular") {
-		return 0, false
+// parseShape parses the engine-shape flags for n bins. A
+// "random-<d>-regular" topology is built from the run seed, so a fixed
+// (seed, n, d) reproduces the same graph.
+func parseShape(engine, topology, gsampler string, n int, seed uint64) (shape, error) {
+	mode, err := rls.ParseEngineMode(engine)
+	if err != nil {
+		return shape{}, err
 	}
-	d, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(s, "random-"), "-regular"))
-	if err != nil || d < 1 {
-		return 0, false
+	topo, err := rls.ParseTopology(topology, n, seed)
+	if err != nil {
+		return shape{}, err
 	}
-	return d, true
-}
-
-// parseGraphSampler maps the -graphsampler flag onto the library enum.
-func parseGraphSampler(s string) (rls.GraphSampler, error) {
-	switch s {
-	case "auto":
-		return rls.GraphSamplerAuto, nil
-	case "exact":
-		return rls.GraphSamplerExact, nil
-	case "rejection":
-		return rls.GraphSamplerRejection, nil
+	gs, err := rls.ParseGraphSampler(gsampler)
+	if err != nil {
+		return shape{}, err
 	}
-	return 0, fmt.Errorf("unknown graph sampler %q (want auto|exact|rejection)", s)
+	return shape{mode, topo, gs}, nil
 }
 
 func run(n, m int, seed uint64, placement, target, topology, gsampler, speeds, engine string, shards int, strict bool, trace int64, plot, csv bool) error {
-	opts := []rls.Option{rls.WithSeed(seed)}
-
-	switch engine {
-	case "direct":
-	case "jump":
-		opts = append(opts, rls.WithEngineMode(rls.JumpEngine))
-	case "sharded":
-		opts = append(opts, rls.WithEngineMode(rls.ShardedEngine))
-		if shards != 0 {
-			opts = append(opts, rls.WithShards(shards))
-		}
-	default:
-		return fmt.Errorf("unknown engine mode %q", engine)
+	sh, err := parseShape(engine, topology, gsampler, n, seed)
+	if err != nil {
+		return err
 	}
-	if shards != 0 && engine != "sharded" {
-		return fmt.Errorf("-shards requires -engine sharded")
+	opts := []rls.Option{
+		rls.WithSeed(seed),
+		rls.WithEngineMode(sh.mode),
+		rls.WithShards(shards),
+		rls.WithTopology(sh.topo),
+		rls.WithGraphSampler(sh.sampler),
 	}
 
 	switch placement {
@@ -225,23 +189,6 @@ func run(n, m int, seed uint64, placement, target, topology, gsampler, speeds, e
 		opts = append(opts, rls.WithTarget(rls.UntilTime(x)))
 	default:
 		return fmt.Errorf("unknown target %q", target)
-	}
-
-	topo, topoActive, err := parseTopology(topology, n, seed)
-	if err != nil {
-		return err
-	}
-	if topoActive {
-		opts = append(opts, rls.WithTopology(topo))
-	}
-	gs, err := parseGraphSampler(gsampler)
-	if err != nil {
-		return err
-	}
-	if gs != rls.GraphSamplerAuto {
-		// The Runner validates the combination (jump engine + graph
-		// topology) and returns its own error otherwise.
-		opts = append(opts, rls.WithGraphSampler(gs))
 	}
 
 	switch speeds {

@@ -1,6 +1,13 @@
 package main
 
-import "testing"
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	rls "repro"
+)
 
 func TestRunAllPlacements(t *testing.T) {
 	for _, p := range []string{"all-in-one", "random", "two-choice", "spread", "delta-pair"} {
@@ -147,4 +154,73 @@ func TestRunShardedRejectsBadCombos(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// TestRunSessionRejectsBadShapes: the durable path returns the library's
+// error for engine shapes NewSession refuses — no panic, and no snapshot.
+func TestRunSessionRejectsBadShapes(t *testing.T) {
+	sf := sessionFlags{snapshot: filepath.Join(t.TempDir(), "x.snap")}
+	cases := []struct {
+		name             string
+		n                int
+		topology, engine string
+		shards           int
+		strict           bool
+	}{
+		{"strict+topology", 16, "ring", "direct", 0, true},
+		{"sharded+strict", 16, "complete", "sharded", 0, true},
+		{"torus mismatch", 8, "torus", "direct", 0, false},
+		{"shards without sharded engine", 16, "complete", "direct", 4, false},
+	}
+	for _, c := range cases {
+		if err := runSession(sf, c.n, 32, 1, "random", "perfect", c.topology, "auto", "", c.engine, c.shards, c.strict, false); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+	if _, err := os.Stat(sf.snapshot); !os.IsNotExist(err) {
+		t.Errorf("a rejected shape wrote a snapshot (stat: %v)", err)
+	}
+}
+
+// TestFlagsAgreeWithRunner: over the engine × strict × topology ×
+// sampler × shards grid, the one-shot and the durable path each fail
+// exactly when the library Runner does.
+func TestFlagsAgreeWithRunner(t *testing.T) {
+	const n, m, seed = 16, 48, 3
+	snap := filepath.Join(t.TempDir(), "x.snap")
+	for _, engine := range []string{"direct", "jump", "sharded", "bogus"} {
+		for _, strict := range []bool{false, true} {
+			for _, topology := range []string{"complete", "ring", "torus", "hypercube", "expander", "random-4-regular"} {
+				for _, sampler := range []string{"auto", "exact"} {
+					for _, shards := range []int{0, 2} {
+						name := fmt.Sprintf("engine=%s strict=%v topology=%s sampler=%s shards=%d", engine, strict, topology, sampler, shards)
+						want := runnerRejects(n, m, seed, engine, topology, sampler, shards, strict)
+						if got := run(n, m, seed, "random", "perfect", topology, sampler, "", engine, shards, strict, 0, false, false) != nil; got != want {
+							t.Errorf("%s: run rejects=%v, Runner rejects=%v", name, got, want)
+						}
+						if got := runSession(sessionFlags{snapshot: snap}, n, m, seed, "random", "perfect", topology, sampler, "", engine, shards, strict, false) != nil; got != want {
+							t.Errorf("%s: runSession rejects=%v, Runner rejects=%v", name, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// runnerRejects reports whether the library refuses the shape: a name
+// that does not parse, or a Runner whose Run errors.
+func runnerRejects(n, m int, seed uint64, engine, topology, sampler string, shards int, strict bool) bool {
+	mode, err1 := rls.ParseEngineMode(engine)
+	topo, err2 := rls.ParseTopology(topology, n, seed)
+	gs, err3 := rls.ParseGraphSampler(sampler)
+	if err1 != nil || err2 != nil || err3 != nil {
+		return true
+	}
+	opts := []rls.Option{rls.WithSeed(seed), rls.WithEngineMode(mode), rls.WithTopology(topo), rls.WithGraphSampler(gs), rls.WithShards(shards)}
+	if strict {
+		opts = append(opts, rls.WithStrictTieRule())
+	}
+	_, err := rls.New(n, m, opts...).Run()
+	return err != nil
 }

@@ -50,42 +50,22 @@ func runSession(sf sessionFlags, n, m int, seed uint64, placement, target, topol
 		fmt.Printf("resumed from %s: n=%d m=%d engine=%s topology=%s time=%.4f\n",
 			sf.resume, sess.N(), sess.M(), sess.Mode(), sess.TopologyName(), sess.Time())
 	} else {
-		opts := []rls.SessionOption{}
-		switch engine {
-		case "direct":
-		case "jump":
-			opts = append(opts, rls.WithSessionEngineMode(rls.JumpEngine))
-		case "sharded":
-			opts = append(opts, rls.WithSessionEngineMode(rls.ShardedEngine))
-		default:
-			return fmt.Errorf("unknown engine mode %q", engine)
+		sh, err := parseShape(engine, topology, gsampler, n, seed)
+		if err != nil {
+			return err
 		}
-		if shards != 0 {
-			opts = append(opts, rls.WithSessionShards(shards))
+		opts := []rls.SessionOption{
+			rls.WithSessionEngineMode(sh.mode),
+			rls.WithSessionShards(shards),
+			rls.WithSessionTopology(sh.topo),
+			rls.WithSessionGraphSampler(sh.sampler),
 		}
 		if strict {
 			opts = append(opts, rls.WithSessionStrictTieRule())
 		}
-		topo, topoActive, err := parseTopology(topology, n, seed)
-		if err != nil {
+		if sess, err = rls.NewSession(n, seed, opts...); err != nil {
 			return err
 		}
-		if topoActive {
-			opts = append(opts, rls.WithSessionTopology(topo))
-		}
-		gs, err := parseGraphSampler(gsampler)
-		if err != nil {
-			return err
-		}
-		if gs != rls.GraphSamplerAuto {
-			// NewSession panics on an unsupported combination, so gate it
-			// here where a flag error is the right surface.
-			if engine != "jump" || !topoActive {
-				return fmt.Errorf("-graphsampler %s needs -engine jump and a graph -topology", gs)
-			}
-			opts = append(opts, rls.WithSessionGraphSampler(gs))
-		}
-		sess = rls.NewSession(n, seed, opts...)
 		for i := 0; i < m; i++ {
 			sess.AddBallRandom()
 		}

@@ -144,12 +144,23 @@
 //   - heterogeneous speeds or exact per-activation trajectories:
 //     DirectEngine, the only mode that supports every option.
 //
-// WithShards composes with ShardedEngine only; DirectEngine is its
-// P = 1 sequential base. Along the protocol-variant axis, DirectEngine
-// accepts everything (strict tie rule, topologies, speeds); JumpEngine
-// accepts the strict tie rule and regular topologies (not together, and
-// not speeds); ShardedEngine runs plain RLS on the complete topology
-// only.
+// One rule table decides which options compose, for Runner and Session
+// alike (NewSession returns its verdict as an error, and snapshot and
+// trace headers are held to it on decode):
+//
+//	option               direct        jump              sharded
+//	strict tie rule      yes           yes               no
+//	topology             any           any (all regular) no
+//	strict + topology    no            no                no
+//	WithShards(P > 0)    no            no                yes
+//	WithGraphSampler     no            with a topology   no
+//	WithSpeeds           no topology   no                no
+//	WithFenwickEngine    yes           no                no
+//
+// A topology must also fit the bin count (torus side², hypercube 2^dim,
+// a square for the expander, 1 ≤ d < n and n·d even for random-regular).
+// ParseEngineMode, ParseGraphSampler and ParseTopology read the names
+// the String methods print, which the CLIs, rlsd and trace archives use.
 //
 // Every mode is also checkpointable: Session.Snapshot
 // writes the full engine state — loads, per-ball structures, level

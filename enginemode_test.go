@@ -67,6 +67,12 @@ func TestOptionValidationErrorMessages(t *testing.T) {
 		// silently run as direct.
 		{"removed mode 3", New(16, 64, WithEngineMode(EngineMode(3))),
 			"rls: unknown engine mode 3"},
+
+		// A shard count sizes the sharded engine; every other mode rejects it.
+		{"direct+shards", New(16, 64, WithShards(2)),
+			"rls: WithShards needs the sharded engine"},
+		{"jump+shards", New(16, 64, WithEngineMode(JumpEngine), WithShards(4)),
+			"rls: WithShards needs the sharded engine"},
 	}
 	for _, c := range cases {
 		c := c
@@ -199,7 +205,7 @@ func TestSessionStrictAndTopologyModes(t *testing.T) {
 			c := c
 			t.Run(mode.String()+"/"+c.name, func(t *testing.T) {
 				opts := append([]SessionOption{WithSessionEngineMode(mode)}, c.opts...)
-				s := NewSession(16, 11, opts...)
+				s := newTestSession(t, 16, 11, opts...)
 				for i := 0; i < 96; i++ {
 					s.AddBallRandom()
 				}
@@ -228,35 +234,40 @@ func TestSessionStrictAndTopologyModes(t *testing.T) {
 	}
 }
 
-// TestSessionOptionPanics pins the session constructors' rejection style
-// for the combinations that stay unsupported.
-func TestSessionOptionPanics(t *testing.T) {
-	expectPanic := func(name, want string, f func()) {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatal("did not panic")
-				}
-				if msg, ok := r.(string); !ok || msg != want {
-					t.Fatalf("panic %v, want %q", r, want)
-				}
-			}()
-			f()
+// TestSessionOptionErrors pins NewSession's rejections: the Runner's
+// messages, since both read the same rule table.
+func TestSessionOptionErrors(t *testing.T) {
+	cases := []struct {
+		name string
+		n    int
+		opts []SessionOption
+		want string
+	}{
+		{"no bins", 0, nil, "rls: 0 bins; need at least one"},
+		{"strict+topology", 16, []SessionOption{WithSessionStrictTieRule(), WithSessionTopology(RingTopology())},
+			"rls: strict tie rule on a topology is not supported"},
+		{"sharded+strict", 16, []SessionOption{WithSessionEngineMode(ShardedEngine), WithSessionStrictTieRule()},
+			"rls: the sharded engine supports neither the strict tie rule, nor topologies, nor bin speeds; DirectEngine supports all three, JumpEngine the first two"},
+		{"removed mode 3", 16, []SessionOption{WithSessionEngineMode(EngineMode(3))},
+			"rls: unknown engine mode 3"},
+		{"jump+torus mismatch", 16, []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionTopology(TorusTopology(3))},
+			"rls: torus side 3 does not match n=16"},
+		{"direct+shards", 16, []SessionOption{WithSessionShards(2)},
+			"rls: WithShards needs the sharded engine"},
+		{"sampler without graph", 16, []SessionOption{WithSessionEngineMode(JumpEngine), WithSessionGraphSampler(GraphSamplerExact)},
+			"rls: WithGraphSampler needs the jump engine on a graph topology"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := NewSession(c.n, 1, c.opts...)
+			if err == nil || s != nil {
+				t.Fatalf("got session %v, error %v", s, err)
+			}
+			if err.Error() != c.want {
+				t.Fatalf("error %q, want %q", err, c.want)
+			}
 		})
 	}
-	expectPanic("strict+topology", "rls: strict tie rule on a topology is not supported", func() {
-		NewSession(16, 1, WithSessionStrictTieRule(), WithSessionTopology(RingTopology()))
-	})
-	expectPanic("sharded+strict", "rls: sharded sessions support only plain RLS on the complete topology", func() {
-		NewSession(16, 1, WithSessionEngineMode(ShardedEngine), WithSessionStrictTieRule())
-	})
-	expectPanic("removed mode 3", "rls: unknown engine mode 3", func() {
-		NewSession(16, 1, WithSessionEngineMode(EngineMode(3)))
-	})
-	expectPanic("jump+torus mismatch", "rls: torus side 3 does not match n=16", func() {
-		NewSession(16, 1, WithSessionEngineMode(JumpEngine), WithSessionTopology(TorusTopology(3)))
-	})
 }
 
 func TestJumpRunnerTraced(t *testing.T) {
@@ -291,7 +302,7 @@ func TestEngineModeString(t *testing.T) {
 
 // TestSessionJumpMode drives the full churn surface in jump mode.
 func TestSessionJumpMode(t *testing.T) {
-	s := NewSession(16, 42, WithSessionEngineMode(JumpEngine))
+	s := newTestSession(t, 16, 42, WithSessionEngineMode(JumpEngine))
 	if s.Mode() != JumpEngine {
 		t.Fatal("mode not recorded")
 	}
@@ -331,7 +342,7 @@ func TestSessionModesAgreeInLaw(t *testing.T) {
 		t.Skip("statistical comparison")
 	}
 	run := func(mode EngineMode, seed uint64) float64 {
-		s := NewSession(8, seed, WithSessionEngineMode(mode))
+		s := newTestSession(t, 8, seed, WithSessionEngineMode(mode))
 		for i := 0; i < 64; i++ {
 			s.AddBallRandom()
 		}

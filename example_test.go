@@ -67,7 +67,10 @@ func ExampleWithEngineMode() {
 // re-balances, and a few leaves later the discrepancy is still under
 // control.
 func ExampleSession() {
-	s := rls.NewSession(8, 42)
+	s, err := rls.NewSession(8, 42)
+	if err != nil {
+		panic(err)
+	}
 	for i := 0; i < 64; i++ {
 		s.AddBallRandom()
 	}

@@ -18,7 +18,10 @@ import (
 
 func main() {
 	const peers = 24
-	s := rls.NewSession(peers, 99)
+	s, err := rls.NewSession(peers, 99)
+	if err != nil {
+		panic(err)
+	}
 
 	// Bootstrap: 480 items arrive at a single seed peer (worst case —
 	// e.g. a bulk import).

@@ -205,7 +205,7 @@ func TestGoldenJumpVariants(t *testing.T) {
 // TestGoldenSessionChurn pins a direct-mode session interleaving churn with
 // protocol execution: the full AddBall/RemoveBall/RandomBin/Run pipeline.
 func TestGoldenSessionChurn(t *testing.T) {
-	s := NewSession(16, 99)
+	s := newTestSession(t, 16, 99)
 	for i := 0; i < 128; i++ {
 		s.AddBallRandom()
 	}
@@ -248,7 +248,7 @@ func TestGoldenSessionChurn(t *testing.T) {
 // range on AddBall and shrinks it on RemoveBall. The expected values were
 // recorded before the level range learned to shrink.
 func TestGoldenJumpSessionChurn(t *testing.T) {
-	s := NewSession(16, 99, WithSessionEngineMode(JumpEngine))
+	s := newTestSession(t, 16, 99, WithSessionEngineMode(JumpEngine))
 	for i := 0; i < 128; i++ {
 		s.AddBallRandom()
 	}

@@ -36,6 +36,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Version is the current artifact format version; decoders reject
@@ -57,6 +58,10 @@ const KindEnd = 0
 // maxSection bounds a single section payload; anything larger is
 // corrupt by construction (a full n = 10⁷ sharded snapshot is ~100 MB).
 const maxSection = 1 << 31
+
+// readChunk is how much payload space Next reserves before any of the
+// payload has arrived.
+const readChunk = 1 << 20
 
 // Typed decode errors. Wrapped errors carry context; match with
 // errors.Is / errors.As.
@@ -182,8 +187,16 @@ func (sr *SectionReader) Next() (kind uint64, payload []byte, err error) {
 	if length > maxSection {
 		return 0, nil, Corruptf("section of %d bytes exceeds the format bound", length)
 	}
-	payload = make([]byte, length)
-	if _, err := io.ReadFull(sr.br, payload); err != nil {
+	// Trust the length only once its first chunk has arrived, so a
+	// corrupt length costs what the input holds, not 2 GiB; a real
+	// payload still gets one exact allocation.
+	payload = make([]byte, min(length, readChunk))
+	_, err = io.ReadFull(sr.br, payload)
+	if err == nil && length > readChunk {
+		payload = slices.Grow(payload, int(length)-readChunk)[:length]
+		_, err = io.ReadFull(sr.br, payload[readChunk:])
+	}
+	if err != nil {
 		return 0, nil, fmt.Errorf("%w: section payload: %v", ErrTruncated, err)
 	}
 	var crc [4]byte

@@ -3,9 +3,11 @@ package persist
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -205,6 +207,45 @@ func TestSectionTruncation(t *testing.T) {
 	}
 	if _, _, err := sr.Next(); err != io.EOF {
 		t.Fatalf("boundary cut: %v, want io.EOF", err)
+	}
+}
+
+// TestSectionLargePayload: a payload past the first read chunk round-
+// trips and cuts on either side of the chunk are ErrTruncated, while a
+// corrupt length on a short input allocates what the input holds, not
+// what the length claims.
+func TestSectionLargePayload(t *testing.T) {
+	big := make([]byte, readChunk+5)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	if err := WriteSection(&buf, 3, big); err != nil {
+		t.Fatal(err)
+	}
+	sr := NewSectionReader(bufio.NewReader(bytes.NewReader(buf.Bytes())))
+	if kind, payload, err := sr.Next(); err != nil || kind != 3 || !bytes.Equal(payload, big) {
+		t.Fatalf("kind=%d len=%d err=%v", kind, len(payload), err)
+	}
+	for _, cut := range []int{readChunk / 2, readChunk + 6} {
+		sr := NewSectionReader(bufio.NewReader(bytes.NewReader(buf.Bytes()[:cut])))
+		if _, _, err := sr.Next(); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("cut at %d: %v, want ErrTruncated", cut, err)
+		}
+	}
+
+	var hdr bytes.Buffer
+	hdr.Write(binary.AppendUvarint(binary.AppendUvarint(nil, 3), maxSection-1))
+	hdr.WriteString("short")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sr = NewSectionReader(bufio.NewReader(&hdr))
+	if _, _, err := sr.Next(); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("corrupt length: %v, want ErrTruncated", err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*readChunk {
+		t.Fatalf("corrupt length allocated %d bytes", got)
 	}
 }
 

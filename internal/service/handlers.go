@@ -48,10 +48,11 @@ type sessionInfo struct {
 	telemetry
 }
 
-// normalize validates a sessionConfig against the service limits and the
-// engine-mode composition matrix, returning the canonicalized config and
-// its session options. Every rejection is a 400 with a message naming
-// the offending field — the handler table tests pin these.
+// normalize checks a sessionConfig against the service's wire limits and
+// parses its names into session options, returning the canonicalized
+// config. Whether the options compose is NewSession's call, made in
+// createSession with the same 400. Every rejection names the offending
+// field — the handler table tests pin these.
 func (s *Service) normalize(cfg sessionConfig) (sessionConfig, []rls.SessionOption, *httpError) {
 	bad := func(format string, args ...any) (sessionConfig, []rls.SessionOption, *httpError) {
 		return sessionConfig{}, nil, &httpError{status: 400, msg: fmt.Sprintf(format, args...)}
@@ -68,60 +69,40 @@ func (s *Service) normalize(cfg sessionConfig) (sessionConfig, []rls.SessionOpti
 	if len(cfg.Speeds) > 0 {
 		return bad("sessions do not support bin speeds; use the library Runner with WithSpeeds")
 	}
-
-	var opts []rls.SessionOption
-	switch cfg.Engine {
-	case "", "direct":
-		cfg.Engine = "direct"
-	case "jump":
-		opts = append(opts, rls.WithSessionEngineMode(rls.JumpEngine))
-	case "sharded":
-		opts = append(opts, rls.WithSessionEngineMode(rls.ShardedEngine))
-	default:
-		return bad("unknown engine %q (want direct|jump|sharded)", cfg.Engine)
-	}
-	sharded := cfg.Engine == "sharded"
 	if cfg.Shards < 0 {
 		return bad("shards must be >= 0 (got %d)", cfg.Shards)
 	}
-	if cfg.Shards > 0 && !sharded {
-		return bad("shards requires engine sharded")
+	if cfg.Engine == "" {
+		cfg.Engine = "direct"
 	}
-	if cfg.Shards > 0 {
-		opts = append(opts, rls.WithSessionShards(cfg.Shards))
+	mode, err := rls.ParseEngineMode(cfg.Engine)
+	if err != nil {
+		return bad("%v", err)
 	}
-
-	if cfg.Strict && cfg.Topology != "" && cfg.Topology != "complete" {
-		return bad("strict tie rule on a topology is not supported")
+	if cfg.Topology == "complete" {
+		cfg.Topology = ""
 	}
-	if sharded && (cfg.Strict || (cfg.Topology != "" && cfg.Topology != "complete")) {
-		return bad("the %s engine supports only plain RLS on the complete topology", cfg.Engine)
+	topo := rls.CompleteTopology()
+	if cfg.Topology != "" {
+		// Random-regular graphs are seeded by the session seed, as rlsim
+		// seeds them by the run seed.
+		if topo, err = rls.ParseTopology(cfg.Topology, cfg.Bins, cfg.Seed); err != nil {
+			return bad("%v", err)
+		}
+		// A random d-regular graph stores bins·d neighbor slots; keep
+		// that within the engine-state bound MaxBins sets.
+		var d int
+		if _, err := fmt.Sscanf(topo.String(), "random-%d-regular", &d); err == nil && d > s.cfg.MaxBins/cfg.Bins {
+			return bad("topology %s: bins·d = %d·%d exceeds the per-session limit %d", topo, cfg.Bins, d, s.cfg.MaxBins)
+		}
+	}
+	opts := []rls.SessionOption{
+		rls.WithSessionEngineMode(mode),
+		rls.WithSessionShards(cfg.Shards),
+		rls.WithSessionTopology(topo),
 	}
 	if cfg.Strict {
 		opts = append(opts, rls.WithSessionStrictTieRule())
-	}
-	switch cfg.Topology {
-	case "", "complete":
-		cfg.Topology = ""
-	case "ring":
-		opts = append(opts, rls.WithSessionTopology(rls.RingTopology()))
-	case "torus":
-		side := int(math.Round(math.Sqrt(float64(cfg.Bins))))
-		if side*side != cfg.Bins {
-			return bad("torus topology needs a square bin count (got %d)", cfg.Bins)
-		}
-		opts = append(opts, rls.WithSessionTopology(rls.TorusTopology(side)))
-	case "hypercube":
-		dim := 0
-		for 1<<dim < cfg.Bins {
-			dim++
-		}
-		if 1<<dim != cfg.Bins {
-			return bad("hypercube topology needs a power-of-two bin count (got %d)", cfg.Bins)
-		}
-		opts = append(opts, rls.WithSessionTopology(rls.HypercubeTopology(dim)))
-	default:
-		return bad("unknown topology %q (want complete|ring|torus|hypercube)", cfg.Topology)
 	}
 	return cfg, opts, nil
 }

@@ -33,8 +33,8 @@ type Config struct {
 	// MaxSessions caps live tenants; creates beyond it get 503.
 	// Default 4096.
 	MaxSessions int
-	// MaxBins caps a single tenant's bin count (engine state is O(bins)).
-	// Default 1<<20.
+	// MaxBins caps a single tenant's bin count (engine state is O(bins)),
+	// and bins·d for a random d-regular topology. Default 1<<20.
 	MaxBins int
 	// MaxBatch caps events per POST body. Default 4096.
 	MaxBatch int
@@ -130,7 +130,6 @@ type batch struct {
 type tenant struct {
 	id   string
 	cfg  sessionConfig // normalized creation config, echoed by GET
-	mode rls.EngineMode
 	sess *rls.Session
 
 	bucket *Bucket
@@ -157,6 +156,13 @@ func (s *Service) createSession(cfg sessionConfig) (*tenant, *httpError) {
 	if herr != nil {
 		return nil, herr
 	}
+	// NewSession is the composition check, so a config that can never be
+	// created is a 400 ahead of the drain and capacity 503s. The empty
+	// engine is O(bins) to build and stays outside the lock.
+	sess, err := rls.NewSession(norm.Bins, norm.Seed, opts...)
+	if err != nil {
+		return nil, &httpError{status: 400, msg: err.Error()}
+	}
 
 	s.mu.Lock()
 	if s.draining {
@@ -170,18 +176,11 @@ func (s *Service) createSession(cfg sessionConfig) (*tenant, *httpError) {
 	}
 	s.nextID++
 	id := fmt.Sprintf("s-%d", s.nextID)
-	// Reserve the slot before the (possibly slow) engine construction so
+	// Reserve the slot before the (possibly slow) initial placement so
 	// the lock never covers simulation work.
 	s.tenants[id] = nil
 	s.mu.Unlock()
 
-	sess, err := buildSession(norm, opts)
-	if err != nil {
-		s.mu.Lock()
-		delete(s.tenants, id)
-		s.mu.Unlock()
-		return nil, &httpError{status: 400, msg: err.Error()}
-	}
 	for i := 0; i < norm.Balls; i++ {
 		sess.AddBallRandom()
 	}
@@ -189,7 +188,6 @@ func (s *Service) createSession(cfg sessionConfig) (*tenant, *httpError) {
 	t := &tenant{
 		id:     id,
 		cfg:    norm,
-		mode:   modeOf(norm.Engine),
 		sess:   sess,
 		bucket: newBucketAt(s.cfg.EventRate, s.cfg.EventBurst, s.cfg.now),
 		broker: newBroker(&s.metrics.StreamDropped),
@@ -205,19 +203,6 @@ func (s *Service) createSession(cfg sessionConfig) (*tenant, *httpError) {
 	s.workers.Add(1)
 	go t.worker(&s.metrics, &s.workers)
 	return t, nil
-}
-
-// buildSession maps the normalized config onto the rls.WithSession*
-// options. NewSession panics on invalid combinations by design; the
-// recover converts any residue the normalize checks missed into a 400
-// instead of killing the daemon.
-func buildSession(cfg sessionConfig, opts []rls.SessionOption) (sess *rls.Session, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			sess, err = nil, fmt.Errorf("%v", r)
-		}
-	}()
-	return rls.NewSession(cfg.Bins, cfg.Seed, opts...), nil
 }
 
 // lookup returns the tenant or nil (a reserved-but-unbuilt slot reads as
@@ -370,7 +355,7 @@ func (t *tenant) worker(m *Metrics, wg *sync.WaitGroup) {
 		m.EventsApplied.Add(int64(len(b.events)))
 		m.Apply.Observe(time.Since(b.enqueued))
 		moves := t.sess.Moves()
-		m.MovesByMode[t.mode].Add(moves - t.lastMoves)
+		m.MovesByMode[t.sess.Mode()].Add(moves - t.lastMoves)
 		t.lastMoves = moves
 		t.broker.publish(t.telemetryFrame())
 	}
@@ -468,16 +453,4 @@ func phaseOf(balls, bins int, disc float64) string {
 		return "log-balanced"
 	}
 	return "unbalanced"
-}
-
-// modeOf maps the validated wire name back to the EngineMode; normalize
-// guarantees the name is canonical.
-func modeOf(engine string) rls.EngineMode {
-	switch engine {
-	case "jump":
-		return rls.JumpEngine
-	case "sharded":
-		return rls.ShardedEngine
-	}
-	return rls.DirectEngine
 }

@@ -5,6 +5,8 @@ import (
 	"io"
 	"sync/atomic"
 	"time"
+
+	rls "repro"
 )
 
 // Metrics is the daemon's observability surface, rendered in the
@@ -139,8 +141,8 @@ func (m *Metrics) Render(w io.Writer) {
 
 	fmt.Fprintf(w, "# HELP rlsd_moves_total Protocol moves executed, by engine mode.\n")
 	fmt.Fprintf(w, "# TYPE rlsd_moves_total counter\n")
-	for mode, name := range [...]string{"direct", "jump", "sharded"} {
-		fmt.Fprintf(w, "rlsd_moves_total{mode=%q} %d\n", name, m.MovesByMode[mode].Load())
+	for mode := range m.MovesByMode {
+		fmt.Fprintf(w, "rlsd_moves_total{mode=%q} %d\n", rls.EngineMode(mode), m.MovesByMode[mode].Load())
 	}
 
 	fmt.Fprintf(w, "# HELP rlsd_apply_latency_seconds Event batch enqueue-to-applied latency.\n")

@@ -113,6 +113,8 @@ func TestHandlerTable(t *testing.T) {
 		{"torus non-square", "POST", "/v1/sessions", `{"bins": 8, "topology": "torus"}`, 400},
 		{"hypercube non-power", "POST", "/v1/sessions", `{"bins": 12, "topology": "hypercube"}`, 400},
 		{"unknown topology", "POST", "/v1/sessions", `{"bins": 8, "topology": "petersen"}`, 400},
+		{"random-regular graph over bin limit", "POST", "/v1/sessions", `{"bins": 4096, "topology": "random-4095-regular"}`, 400},
+		{"random-regular degree overflow", "POST", "/v1/sessions", `{"bins": 8, "topology": "random-9223372036854775807-regular"}`, 400},
 
 		{"get unknown session", "GET", "/v1/sessions/s-999", "", 404},
 		{"delete unknown session", "DELETE", "/v1/sessions/s-999", "", 404},
@@ -164,6 +166,8 @@ func TestCreateAllEngineModes(t *testing.T) {
 		`{"bins": 16, "balls": 64, "engine": "jump", "topology": "ring"}`,
 		`{"bins": 16, "balls": 64, "engine": "jump", "topology": "torus"}`,
 		`{"bins": 16, "balls": 64, "engine": "jump", "topology": "hypercube"}`,
+		`{"bins": 16, "balls": 64, "engine": "jump", "topology": "expander"}`,
+		`{"bins": 16, "balls": 64, "engine": "jump", "topology": "random-4-regular", "seed": 7}`,
 		`{"bins": 16, "balls": 64, "engine": "sharded", "shards": 2}`,
 	} {
 		id := createSession(t, srv, body)
@@ -184,6 +188,84 @@ func TestCreateAllEngineModes(t *testing.T) {
 			t.Errorf("%s: phase %q after run_to_perfect, want perfect", body, info.Phase)
 		}
 	}
+}
+
+// TestCreateAgreesWithNewSession: over the engine × strict × topology ×
+// shards grid (the wire config has no graph-sampler field), the daemon
+// answers 201 exactly when rls.NewSession accepts the parsed config and
+// 400 otherwise, and echoes an accepted config in its canonical form.
+func TestCreateAgreesWithNewSession(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	for _, bins := range []int{16, 12} {
+		for _, engine := range []string{"", "direct", "jump", "sharded", "bogus"} {
+			for _, strict := range []bool{false, true} {
+				for _, topology := range []string{"", "complete", "ring", "torus", "hypercube", "expander", "random-4-regular"} {
+					for _, shards := range []int{0, 2} {
+						cfg := sessionConfig{Bins: bins, Seed: 5, Engine: engine, Strict: strict, Topology: topology, Shards: shards}
+						body, err := json.Marshal(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := 400
+						if libraryAccepts(cfg) {
+							want = 201
+						}
+						resp := post(t, srv.URL+"/v1/sessions", string(body))
+						var info sessionInfo
+						derr := json.NewDecoder(resp.Body).Decode(&info)
+						resp.Body.Close()
+						if resp.StatusCode != want {
+							t.Errorf("%s: status %d, want %d", body, resp.StatusCode, want)
+							continue
+						}
+						if want != 201 {
+							continue
+						}
+						if derr != nil {
+							t.Fatalf("%s: %v", body, derr)
+						}
+						echo := cfg
+						if echo.Engine == "" {
+							echo.Engine = "direct"
+						}
+						if echo.Topology == "complete" {
+							echo.Topology = ""
+						}
+						if info.Config.Engine != echo.Engine || info.Config.Topology != echo.Topology || info.Config.Shards != echo.Shards || info.Config.Strict != echo.Strict {
+							t.Errorf("%s: echoed %+v, want %+v", body, info.Config, echo)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// libraryAccepts reports whether rls parses the config's names and
+// builds a session from them, with the wire defaults ("" is direct and
+// complete).
+func libraryAccepts(cfg sessionConfig) bool {
+	engine, topology := cfg.Engine, cfg.Topology
+	if engine == "" {
+		engine = "direct"
+	}
+	if topology == "" {
+		topology = "complete"
+	}
+	mode, err := rls.ParseEngineMode(engine)
+	if err != nil {
+		return false
+	}
+	topo, err := rls.ParseTopology(topology, cfg.Bins, cfg.Seed)
+	if err != nil {
+		return false
+	}
+	opts := []rls.SessionOption{rls.WithSessionEngineMode(mode), rls.WithSessionShards(cfg.Shards), rls.WithSessionTopology(topo)}
+	if cfg.Strict {
+		opts = append(opts, rls.WithSessionStrictTieRule())
+	}
+	_, err = rls.NewSession(cfg.Bins, cfg.Seed, opts...)
+	return err == nil
 }
 
 // TestRateLimitBackpressure pins the 429 + Retry-After contract: a
@@ -216,10 +298,14 @@ func TestRateLimitBackpressure(t *testing.T) {
 // exact rejection.
 func TestQueueFullBackpressure(t *testing.T) {
 	svc := New(Config{QueueDepth: 2})
+	sess, err := rls.NewSession(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tn := &tenant{
 		id:     "s-test",
 		cfg:    sessionConfig{Bins: 4},
-		sess:   rls.NewSession(4, 1),
+		sess:   sess,
 		bucket: NewBucket(0, 0),
 		broker: newBroker(&svc.metrics.StreamDropped),
 		queue:  make(chan batch, 2),
@@ -246,14 +332,20 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 }
 
-// TestSessionCap pins the 503 on the MaxSessions limit.
+// TestSessionCap pins the 503 on the MaxSessions limit, and the 400 a
+// config that can never be created still gets there.
 func TestSessionCap(t *testing.T) {
 	srv, _ := newTestServer(t, Config{MaxSessions: 1})
 	createSession(t, srv, `{"bins": 8}`)
-	resp := post(t, srv.URL+"/v1/sessions", `{"bins": 8}`)
-	defer resp.Body.Close()
-	if resp.StatusCode != 503 {
-		t.Fatalf("status %d, want 503 at the session cap", resp.StatusCode)
+	for body, want := range map[string]int{
+		`{"bins": 8}`: 503,
+		`{"bins": 8, "strict": true, "topology": "ring"}`: 400,
+	} {
+		resp := post(t, srv.URL+"/v1/sessions", body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("%s: status %d, want %d at the session cap", body, resp.StatusCode, want)
+		}
 	}
 }
 
@@ -364,6 +456,11 @@ func TestDrain(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 503 {
 		t.Errorf("create while draining: status %d, want 503", resp.StatusCode)
+	}
+	resp = post(t, srv.URL+"/v1/sessions", `{"bins": 8, "strict": true, "topology": "ring"}`)
+	resp.Body.Close()
+	if resp.StatusCode != 400 {
+		t.Errorf("uncreatable config while draining: status %d, want 400", resp.StatusCode)
 	}
 	resp = post(t, srv.URL+"/v1/sessions/"+ids[0]+"/events", `{"events": [{"op": "add"}]}`)
 	resp.Body.Close()

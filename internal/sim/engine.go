@@ -82,6 +82,24 @@ func NewEngine(initial loadvec.Vector, mover Mover, sampler ActivationSampler, r
 // through ForceMove so the sampler stays in sync).
 func (e *Engine) Cfg() *loadvec.Config { return e.cfg }
 
+// N returns the number of bins.
+func (e *Engine) N() int { return e.cfg.N() }
+
+// M returns the number of balls.
+func (e *Engine) M() int { return e.cfg.M() }
+
+// Load returns the load of one bin.
+func (e *Engine) Load(bin int) int { return e.cfg.Load(bin) }
+
+// Snapshot returns a copy of the load vector.
+func (e *Engine) Snapshot() loadvec.Vector { return e.cfg.Snapshot() }
+
+// Disc returns the discrepancy.
+func (e *Engine) Disc() float64 { return e.cfg.Disc() }
+
+// IsPerfect reports perfect balance (disc < 1).
+func (e *Engine) IsPerfect() bool { return e.cfg.IsPerfect() }
+
 // Time returns the elapsed continuous time.
 func (e *Engine) Time() float64 { return e.time }
 
@@ -231,6 +249,30 @@ func (e *Engine) Run(stop StopCond, maxActivations int64) Result {
 		ForcedMoves: e.forced,
 		Stopped:     stopped,
 		Final:       e.cfg.Snapshot(),
+	}
+}
+
+// RunGoal is Run (every ≤ 0) or RunTraced (every > 0) toward g. The
+// horizon is g's for this run only: a time goal clamps the jump engine's
+// final block, any other goal runs unclamped.
+func (e *Engine) RunGoal(g Goal, maxActivations, every int64) (Result, []TracePoint) {
+	e.horizon = g.horizon
+	defer e.SetHorizon(0)
+	if every <= 0 {
+		return e.Run(g.engine, maxActivations), nil
+	}
+	return e.RunTraced(g.engine, maxActivations, every)
+}
+
+// Observe chains f onto PostMove: f runs after every protocol move, the
+// only event that changes the configuration.
+func (e *Engine) Observe(f func()) {
+	prev := e.PostMove
+	e.PostMove = func(e *Engine, src, dst int) {
+		if prev != nil {
+			prev(e, src, dst)
+		}
+		f()
 	}
 }
 

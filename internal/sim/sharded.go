@@ -443,6 +443,24 @@ func (s *Sharded) RunTraced(stop ShardedStop, maxActivations, every int64) (Resu
 	return s.run(stop, maxActivations, every, true)
 }
 
+// RunGoal is Run (every ≤ 0) or RunTraced (every > 0) toward g,
+// mirroring Engine.RunGoal.
+func (s *Sharded) RunGoal(g Goal, maxActivations, every int64) (Result, []TracePoint) {
+	return s.run(g.sharded, maxActivations, every, every > 0)
+}
+
+// Observe chains f onto PostCheck: f runs at every stop check — each
+// barrier for P > 1, each activation for P = 1.
+func (s *Sharded) Observe(f func()) {
+	prev := s.PostCheck
+	s.PostCheck = func(s *Sharded) {
+		if prev != nil {
+			prev(s)
+		}
+		f()
+	}
+}
+
 func (s *Sharded) run(stop ShardedStop, maxActivations, every int64, traced bool) (Result, []TracePoint) {
 	if maxActivations <= 0 {
 		maxActivations = DefaultActivationBudget

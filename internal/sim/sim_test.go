@@ -303,15 +303,34 @@ func TestStopConds(t *testing.T) {
 	if !UntilActivations(0)(e) {
 		t.Error("UntilActivations(0) at start")
 	}
-	if !Any(Never(), UntilBalanced(5))(e) {
-		t.Error("Any failed")
+}
+
+// TestRunGoal: a Goal stops both engines where their own stop conditions
+// do, and a time goal's jump horizon lasts for that run only.
+func TestRunGoal(t *testing.T) {
+	v := loadvec.Vector{12, 0, 0, 4}
+	e := NewEngine(v, rlsRule{}, nil, rng.New(3))
+	s := NewSharded(v, 1, 0, rng.New(3))
+	for _, g := range []Goal{GoalTime(0.5), GoalBalanced(2), GoalPerfect()} {
+		re, _ := e.RunGoal(g, 0, 0)
+		rs, trace := s.RunGoal(g, 0, 4)
+		if re.Time != rs.Time || re.Activations != rs.Activations || !re.Stopped || !rs.Stopped || len(trace) < 2 {
+			t.Fatalf("engine %v, sharded P=1 %v (%d trace points)", re, rs, len(trace))
+		}
 	}
-	if All(Never(), UntilBalanced(5))(e) {
-		t.Error("All failed")
+	j := NewJumpEngine(v, rng.New(3))
+	if res, _ := j.RunGoal(GoalTime(0.25), 0, 0); res.Time != 0.25 {
+		t.Fatalf("time goal ended at %v, want the horizon 0.25", res.Time)
 	}
-	if Never()(e) {
-		t.Error("Never stopped")
+	if j.horizon != 0 {
+		t.Fatalf("horizon %v left set after the run", j.horizon)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("the sharded engine ran a loads goal")
+		}
+	}()
+	s.RunGoal(GoalLoads(func(loadvec.Vector) bool { return true }), 0, 0)
 }
 
 func TestRunRespectsActivationBudget(t *testing.T) {

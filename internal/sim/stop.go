@@ -1,5 +1,7 @@
 package sim
 
+import "repro/internal/loadvec"
+
 // A StopCond inspects the engine state and reports whether the run should
 // stop. It is always checked once before the first step; how often it is
 // checked afterwards depends on the engine mode (rls.EngineMode):
@@ -45,31 +47,33 @@ func UntilActivations(k int64) StopCond {
 	return func(e *Engine) bool { return e.Activations() >= k }
 }
 
-// Any stops when any of the given conditions holds.
-func Any(conds ...StopCond) StopCond {
-	return func(e *Engine) bool {
-		for _, c := range conds {
-			if c(e) {
-				return true
-			}
-		}
-		return false
-	}
+// Goal is a stop rule stated once for every engine: Engine and Sharded
+// each read it in their own form (a StopCond or a ShardedStop), so a
+// caller holding either behind one interface runs it with RunGoal. A
+// time goal also carries the jump engine's horizon.
+type Goal struct {
+	engine  StopCond
+	sharded ShardedStop
+	horizon float64
 }
 
-// All stops when all of the given conditions hold simultaneously.
-func All(conds ...StopCond) StopCond {
-	return func(e *Engine) bool {
-		for _, c := range conds {
-			if !c(e) {
-				return false
-			}
-		}
-		return true
-	}
+// GoalPerfect stops at perfect balance (disc < 1).
+func GoalPerfect() Goal { return Goal{engine: UntilPerfect(), sharded: ShardedUntilPerfect()} }
+
+// GoalBalanced stops once the configuration is x-balanced (disc ≤ x).
+func GoalBalanced(x float64) Goal {
+	return Goal{engine: UntilBalanced(x), sharded: ShardedUntilBalanced(x)}
 }
 
-// Never never stops on its own; combine with an activation budget.
-func Never() StopCond {
-	return func(*Engine) bool { return false }
+// GoalTime stops once continuous time reaches t; the jump engine clamps
+// its final block there (see Engine.SetHorizon).
+func GoalTime(t float64) Goal {
+	return Goal{engine: UntilTime(t), sharded: ShardedUntilTime(t), horizon: t}
+}
+
+// GoalLoads stops once pred holds on the load vector. It has no sharded
+// form (Sharded.RunGoal panics at its first check): its one use, the
+// bin-speed Nash stop, runs on the direct engine only.
+func GoalLoads(pred func(loadvec.Vector) bool) Goal {
+	return Goal{engine: func(e *Engine) bool { return pred(e.cfg.Loads()) }}
 }

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/graphs"
 	"repro/internal/persist"
+	"repro/internal/rng"
 )
 
 // This file is the top of the snapshot stack: Session gains
@@ -50,43 +50,17 @@ func (s *Session) Snapshot(w io.Writer) error { return s.SnapshotWithNote(w, nil
 func (s *Session) SnapshotWithNote(w io.Writer, note []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.snapshotLocked(w, note)
-}
-
-func (s *Session) snapshotLocked(w io.Writer, note []byte) error {
-	topoKind, topoArg, err := s.topologyCode()
-	if err != nil {
-		return err
-	}
 	bw := bufio.NewWriter(w)
 	if err := persist.WriteHeader(bw, persist.MagicSnapshot); err != nil {
 		return err
 	}
-	var meta persist.Enc
-	meta.Int(s.engine.Bins())
-	meta.Int(int(s.mode))
-	meta.Int(s.shards)
-	meta.Bool(s.strict)
-	meta.Int(topoKind)
-	meta.Int(topoArg)
-	meta.U64(s.topology.rrSeed)
-	meta.Int(int(s.graphSampler))
-	meta.Bytes8(note)
+	var meta, state persist.Enc
+	s.encode(&meta, s.engine.N(), note)
 	if err := persist.WriteSection(bw, sectMeta, meta.Bytes()); err != nil {
 		return err
 	}
-	var enc persist.Enc
-	kind := uint64(sectEngine)
-	switch eng := s.engine.(type) {
-	case sequentialSession:
-		eng.e.EncodeState(&enc)
-	case shardedSession:
-		kind = sectSharded
-		eng.e.EncodeState(&enc)
-	default:
-		return fmt.Errorf("rls: session engine %T has no snapshot codec", s.engine)
-	}
-	if err := persist.WriteSection(bw, kind, enc.Bytes()); err != nil {
+	s.engine.EncodeState(&state)
+	if err := persist.WriteSection(bw, s.section(), state.Bytes()); err != nil {
 		return err
 	}
 	if err := persist.WriteSection(bw, persist.KindEnd, nil); err != nil {
@@ -95,129 +69,20 @@ func (s *Session) snapshotLocked(w io.Writer, note []byte) error {
 	return bw.Flush()
 }
 
-// topologyCode maps the session topology onto the (kind, arg) pair the
-// snapshot header stores: 0 complete, 1 ring, 2 torus(side),
-// 3 hypercube(dim), 4 expander (the side adapts to √n on resume),
-// 5 random-regular(d) — whose construction seed rides in the meta
-// section's topoSeed field so resume rebuilds the identical adjacency.
-func (s *Session) topologyCode() (kind, arg int, err error) {
-	if s.topology.rrD > 0 {
-		return 5, s.topology.rrD, nil
+// nextSection reads the next section, which must be of kind want; the
+// input ending there is a truncation.
+func nextSection(sr *persist.SectionReader, want uint64, what string) ([]byte, error) {
+	kind, payload, err := sr.Next()
+	if err == io.EOF {
+		return nil, fmt.Errorf("%w: missing %s section", persist.ErrTruncated, what)
 	}
-	switch g := s.topology.g.(type) {
-	case nil:
-		return 0, 0, nil
-	case graphs.Ring:
-		return 1, 0, nil
-	case graphs.Torus2D:
-		return 2, g.Side, nil
-	case graphs.Hypercube:
-		return 3, g.Dim, nil
-	case graphs.Expander:
-		return 4, 0, nil
-	default:
-		return 0, 0, fmt.Errorf("rls: topology %T has no snapshot code", g)
-	}
-}
-
-// checkMetaMode rejects a header engine mode outside the three live
-// modes. Mode 3 gets its own message: it named the removed sharded jump
-// engine, so an artifact carrying it is well-formed but unresumable.
-func checkMetaMode(mode int) error {
-	if mode == 3 {
-		return persist.Corruptf("engine mode 3 names the removed sharded jump engine")
-	}
-	if !EngineMode(mode).valid() {
-		return persist.Corruptf("unknown engine mode %d", mode)
-	}
-	return nil
-}
-
-// sessionOptsFromMeta validates a decoded header and rebuilds the
-// NewSession options that reconstruct the engine shape. Every NewSession
-// panic path is checked here first, so corrupt artifacts surface as
-// typed errors.
-func sessionOptsFromMeta(n, mode, shards int, strict bool, topoKind, topoArg int, topoSeed uint64, gsampler int) ([]SessionOption, error) {
-	if n < 1 {
-		return nil, persist.Corruptf("session over %d bins", n)
-	}
-	if err := checkMetaMode(mode); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	if shards < 0 {
-		return nil, persist.Corruptf("session with %d shards", shards)
+	if kind != want {
+		return nil, persist.Corruptf("section %d where the %s section belongs", kind, what)
 	}
-	m := EngineMode(mode)
-	if m == ShardedEngine && (strict || topoKind != 0) {
-		return nil, persist.Corruptf("sharded session with strict rule or topology")
-	}
-	if gsampler < int(GraphSamplerAuto) || gsampler > int(GraphSamplerRejection) {
-		return nil, persist.Corruptf("unknown graph sampler %d", gsampler)
-	}
-	if gsampler != int(GraphSamplerAuto) && (m != JumpEngine || topoKind == 0) {
-		return nil, persist.Corruptf("graph sampler override without a graph jump engine")
-	}
-	opts := []SessionOption{WithSessionEngineMode(m)}
-	if shards > 0 {
-		opts = append(opts, WithSessionShards(shards))
-	}
-	if strict {
-		if topoKind != 0 {
-			return nil, persist.Corruptf("strict tie rule on a topology")
-		}
-		opts = append(opts, WithSessionStrictTieRule())
-	}
-	switch topoKind {
-	case 0:
-	case 1:
-		opts = append(opts, WithSessionTopology(RingTopology()))
-	case 2:
-		if topoArg < 1 || topoArg*topoArg != n {
-			return nil, persist.Corruptf("torus side %d against %d bins", topoArg, n)
-		}
-		opts = append(opts, WithSessionTopology(TorusTopology(topoArg)))
-	case 3:
-		if topoArg < 0 || topoArg > 30 || 1<<topoArg != n {
-			return nil, persist.Corruptf("hypercube dim %d against %d bins", topoArg, n)
-		}
-		opts = append(opts, WithSessionTopology(HypercubeTopology(topoArg)))
-	case 4:
-		side := 1
-		for side*side < n {
-			side++
-		}
-		if side*side != n {
-			return nil, persist.Corruptf("expander over non-square %d bins", n)
-		}
-		opts = append(opts, WithSessionTopology(ExpanderTopology()))
-	case 5:
-		if topoArg < 1 || topoArg >= n || (n*topoArg)%2 != 0 {
-			return nil, persist.Corruptf("random-regular degree %d against %d bins", topoArg, n)
-		}
-		opts = append(opts, WithSessionTopology(RandomRegularTopology(topoArg, topoSeed)))
-	default:
-		return nil, persist.Corruptf("unknown topology code %d", topoKind)
-	}
-	if gsampler != int(GraphSamplerAuto) {
-		opts = append(opts, WithSessionGraphSampler(GraphSampler(gsampler)))
-	}
-	return opts, nil
-}
-
-// decodeMeta reads the session-shape section shared by snapshots and
-// trace archives.
-func decodeMeta(payload []byte) (n, mode, shards int, strict bool, topoKind, topoArg int, topoSeed uint64, gsampler int, note []byte, err error) {
-	d := persist.NewDec(payload)
-	n = d.Int()
-	mode = d.Int()
-	shards = d.Int()
-	strict = d.Bool()
-	topoKind = d.Int()
-	topoArg = d.Int()
-	topoSeed = d.U64()
-	gsampler = d.Int()
-	note = d.Bytes8()
-	return n, mode, shards, strict, topoKind, topoArg, topoSeed, gsampler, note, d.Err()
+	return payload, nil
 }
 
 // ResumeSession reads a snapshot artifact and returns a session that
@@ -237,58 +102,32 @@ func ResumeSessionWithNote(r io.Reader) (*Session, []byte, error) {
 		return nil, nil, err
 	}
 	sr := persist.NewSectionReader(br)
-	kind, payload, err := sr.Next()
-	if err != nil {
-		if err == io.EOF {
-			return nil, nil, fmt.Errorf("%w: missing header section", persist.ErrTruncated)
-		}
-		return nil, nil, err
-	}
-	if kind != sectMeta {
-		return nil, nil, persist.Corruptf("snapshot leads with section %d, want meta", kind)
-	}
-	n, mode, shards, strict, topoKind, topoArg, topoSeed, gsampler, note, err := decodeMeta(payload)
+	meta, err := nextSection(sr, sectMeta, "header")
 	if err != nil {
 		return nil, nil, err
 	}
-	opts, err := sessionOptsFromMeta(n, mode, shards, strict, topoKind, topoArg, topoSeed, gsampler)
+	sp, n, note, err := decodeSpec(meta)
 	if err != nil {
 		return nil, nil, err
 	}
-	s := NewSession(n, 0, opts...)
-
-	kind, payload, err = sr.Next()
+	state, err := nextSection(sr, sp.section(), "engine")
 	if err != nil {
-		if err == io.EOF {
-			return nil, nil, fmt.Errorf("%w: missing engine section", persist.ErrTruncated)
-		}
 		return nil, nil, err
 	}
-	d := persist.NewDec(payload)
-	switch eng := s.engine.(type) {
-	case sequentialSession:
-		if kind != sectEngine {
-			return nil, nil, persist.Corruptf("snapshot engine section kind %d, want %d", kind, sectEngine)
-		}
-		if err := eng.e.DecodeState(d); err != nil {
-			return nil, nil, err
-		}
-	case shardedSession:
-		if kind != sectSharded {
-			return nil, nil, persist.Corruptf("snapshot engine section kind %d, want %d", kind, sectSharded)
-		}
-		if err := eng.e.DecodeState(d); err != nil {
-			return nil, nil, err
-		}
+	// Every bin's load is at least one byte of the engine payload; a
+	// header claiming more bins is corrupt, not a reason to allocate them.
+	if n > len(state) {
+		return nil, nil, persist.Corruptf("%d bins in a %d-byte engine section", n, len(state))
 	}
-	if kind, _, err = sr.Next(); err != nil {
-		if err == io.EOF {
-			return nil, nil, fmt.Errorf("%w: missing end section", persist.ErrTruncated)
-		}
+	s := &Session{stream: rng.New(0), spec: sp}
+	if err := s.start(n); err != nil {
+		return nil, nil, persist.Corruptf("%v", err)
+	}
+	if err := s.engine.DecodeState(persist.NewDec(state)); err != nil {
 		return nil, nil, err
 	}
-	if kind != persist.KindEnd {
-		return nil, nil, persist.Corruptf("trailing section %d after the engine state", kind)
+	if _, err := nextSection(sr, persist.KindEnd, "end"); err != nil {
+		return nil, nil, err
 	}
 	return s, note, nil
 }
@@ -336,29 +175,14 @@ func (s *Session) NewTraceWriter(w io.Writer, snapEvery int) (*TraceWriter, erro
 	if snapEvery < 0 {
 		return nil, fmt.Errorf("rls: NewTraceWriter with negative snapshot interval %d", snapEvery)
 	}
+	var meta persist.Enc
 	s.mu.Lock()
-	topoKind, topoArg, err := s.topologyCode()
-	bins := s.engine.Bins()
-	mode, shards, strict := s.mode, s.shards, s.strict
-	topoSeed, gsampler := s.topology.rrSeed, s.graphSampler
+	s.encode(&meta, s.engine.N(), nil)
 	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
 	bw := bufio.NewWriter(w)
 	if err := persist.WriteHeader(bw, persist.MagicTrace); err != nil {
 		return nil, err
 	}
-	var meta persist.Enc
-	meta.Int(bins)
-	meta.Int(int(mode))
-	meta.Int(shards)
-	meta.Bool(strict)
-	meta.Int(topoKind)
-	meta.Int(topoArg)
-	meta.U64(topoSeed)
-	meta.Int(int(gsampler))
-	meta.Bytes8(nil)
 	if err := persist.WriteSection(bw, sectMeta, meta.Bytes()); err != nil {
 		return nil, err
 	}
@@ -472,48 +296,19 @@ func OpenTrace(r io.Reader) (*TraceReader, error) {
 		return nil, err
 	}
 	sr := persist.NewSectionReader(br)
-	kind, payload, err := sr.Next()
-	if err != nil {
-		if err == io.EOF {
-			return nil, fmt.Errorf("%w: missing header section", persist.ErrTruncated)
-		}
-		return nil, err
-	}
-	if kind != sectMeta {
-		return nil, persist.Corruptf("trace leads with section %d, want meta", kind)
-	}
-	n, mode, shards, strict, topoKind, topoArg, _, gsampler, _, err := decodeMeta(payload)
+	meta, err := nextSection(sr, sectMeta, "header")
 	if err != nil {
 		return nil, err
 	}
-	if err := checkMetaMode(mode); err != nil {
+	sp, n, _, err := decodeSpec(meta)
+	if err != nil {
 		return nil, err
-	}
-	if gsampler < int(GraphSamplerAuto) || gsampler > int(GraphSamplerRejection) {
-		return nil, persist.Corruptf("unknown graph sampler %d", gsampler)
-	}
-	topo := ""
-	switch topoKind {
-	case 0:
-		topo = "complete"
-	case 1:
-		topo = "ring"
-	case 2:
-		topo = "torus"
-	case 3:
-		topo = "hypercube"
-	case 4:
-		topo = "expander"
-	case 5:
-		topo = fmt.Sprintf("random-%d-regular", topoArg)
-	default:
-		return nil, persist.Corruptf("unknown topology code %d", topoKind)
 	}
 	return &TraceReader{
 		sr: sr,
 		meta: TraceMeta{
-			Bins: n, Mode: EngineMode(mode), Shards: shards, Strict: strict,
-			Topology: topo, Sampler: GraphSampler(gsampler).String(),
+			Bins: n, Mode: sp.mode, Shards: sp.shards, Strict: sp.strict,
+			Topology: sp.topology.String(), Sampler: sp.sampler.String(),
 		},
 	}, nil
 }

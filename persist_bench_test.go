@@ -10,7 +10,7 @@ import (
 // non-trivial state.
 func benchSession(b *testing.B, n int, opts ...SessionOption) *Session {
 	b.Helper()
-	s := NewSession(n, 42, opts...)
+	s := newTestSession(b, n, 42, opts...)
 	for i := 0; i < 4*n; i++ {
 		s.AddBallRandom()
 	}

@@ -81,8 +81,8 @@ func TestResumeByteIdentical(t *testing.T) {
 	const n, seed = 64, 0xA11CE
 	for _, tc := range snapshotMatrix() {
 		t.Run(tc.name, func(t *testing.T) {
-			a := NewSession(n, seed, tc.opts...)
-			b := NewSession(n, seed, tc.opts...)
+			a := newTestSession(t, n, seed, tc.opts...)
+			b := newTestSession(t, n, seed, tc.opts...)
 
 			// Phase 1: identical prefix on both arms, with churn.
 			for i := 0; i < 3*n; i++ {
@@ -130,7 +130,7 @@ func TestResumeByteIdentical(t *testing.T) {
 // TestResumePreservesShape checks the restored session reports the same
 // shape the original was built with.
 func TestResumePreservesShape(t *testing.T) {
-	s := NewSession(16, 7, WithSessionEngineMode(ShardedEngine), WithSessionShards(3))
+	s := newTestSession(t, 16, 7, WithSessionEngineMode(ShardedEngine), WithSessionShards(3))
 	for i := 0; i < 64; i++ {
 		s.AddBallRandom()
 	}
@@ -148,7 +148,7 @@ func TestResumePreservesShape(t *testing.T) {
 }
 
 func TestSnapshotNoteRoundTrip(t *testing.T) {
-	s := NewSession(8, 1)
+	s := newTestSession(t, 8, 1)
 	s.AddBallRandom()
 	var buf bytes.Buffer
 	note := []byte(`{"id":"s-7"}`)
@@ -168,7 +168,7 @@ func TestSnapshotNoteRoundTrip(t *testing.T) {
 // truncation, bit flips, version skew, and wrong magic must all surface
 // as persist's errors — never as a panic or a silently wrong session.
 func TestDecodeSnapshotMalformed(t *testing.T) {
-	s := NewSession(16, 3, WithSessionEngineMode(JumpEngine))
+	s := newTestSession(t, 16, 3, WithSessionEngineMode(JumpEngine))
 	for i := 0; i < 48; i++ {
 		s.AddBallRandom()
 	}
@@ -240,7 +240,7 @@ func TestDecodeSnapshotMalformed(t *testing.T) {
 		// The rejection sampler's persisted bounds get their own artifact:
 		// every flip and cut over it must still surface typed errors (the
 		// bounds validation behind the CRC rejects out-of-range admUB).
-		h := NewSession(16, 3, WithSessionEngineMode(JumpEngine),
+		h := newTestSession(t, 16, 3, WithSessionEngineMode(JumpEngine),
 			WithSessionTopology(RandomRegularTopology(6, 21)),
 			WithSessionGraphSampler(GraphSamplerRejection))
 		for i := 0; i < 48; i++ {
@@ -298,6 +298,56 @@ func TestDecodeSnapshotMalformed(t *testing.T) {
 		}
 	})
 
+	t.Run("header", func(t *testing.T) {
+		// Well-framed artifacts whose header names a session NewSession
+		// would reject: the snapshot and the trace decoder read headers
+		// through the same rule table, so both must answer ErrCorrupt.
+		var trace bytes.Buffer
+		tw, err := s.NewTraceWriter(&trace, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for name, edit := range map[string]func(*spec, *int){
+			"no bins":               func(_ *spec, n *int) { *n = 0 },
+			"negative bins":         func(_ *spec, n *int) { *n = -3 },
+			"negative shards":       func(sp *spec, _ *int) { sp.shards = -1 },
+			"removed mode 3":        func(sp *spec, _ *int) { sp.mode = 3 },
+			"unknown mode":          func(sp *spec, _ *int) { sp.mode = 9 },
+			"sharded+strict":        func(sp *spec, _ *int) { sp.mode, sp.strict = ShardedEngine, true },
+			"sharded+topology":      func(sp *spec, _ *int) { sp.mode, sp.topology = ShardedEngine, RingTopology() },
+			"strict+topology":       func(sp *spec, _ *int) { sp.strict, sp.topology = true, RingTopology() },
+			"unknown sampler":       func(sp *spec, _ *int) { sp.sampler = 7 },
+			"sampler without graph": func(sp *spec, _ *int) { sp.sampler = GraphSamplerExact },
+			"unknown topology code": func(sp *spec, _ *int) { sp.topology = Topology{kind: 9} },
+			"torus mismatch":        func(sp *spec, _ *int) { sp.topology = TorusTopology(3) },
+			"hypercube mismatch":    func(sp *spec, _ *int) { sp.topology = HypercubeTopology(5) },
+			"expander non-square":   func(sp *spec, n *int) { *n, sp.topology = 12, ExpanderTopology() },
+			"random-regular dense":  func(sp *spec, _ *int) { sp.topology = RandomRegularTopology(16, 1) },
+			"random-regular odd":    func(sp *spec, n *int) { *n, sp.topology = 15, RandomRegularTopology(3, 1) },
+		} {
+			snap := reframe(t, good, persist.MagicSnapshot, sectMeta, editSpec(t, edit))
+			if _, err := ResumeSession(bytes.NewReader(snap)); !errors.Is(err, persist.ErrCorrupt) {
+				t.Errorf("%s: ResumeSession got %v, want ErrCorrupt", name, err)
+			}
+			arch := reframe(t, trace.Bytes(), persist.MagicTrace, sectMeta, editSpec(t, edit))
+			if _, err := OpenTrace(bytes.NewReader(arch)); !errors.Is(err, persist.ErrCorrupt) {
+				t.Errorf("%s: OpenTrace got %v, want ErrCorrupt", name, err)
+			}
+		}
+	})
+
+	t.Run("bins beyond the engine section", func(t *testing.T) {
+		// A header may only claim as many bins as its engine payload can
+		// hold; the decoder refuses before allocating them.
+		snap := reframe(t, good, persist.MagicSnapshot, sectMeta, editSpec(t, func(_ *spec, n *int) { *n = 1 << 40 }))
+		if _, err := ResumeSession(bytes.NewReader(snap)); !errors.Is(err, persist.ErrCorrupt) {
+			t.Fatalf("got %v, want ErrCorrupt", err)
+		}
+	})
+
 	t.Run("wrong-magic", func(t *testing.T) {
 		mut := append([]byte(nil), good...)
 		copy(mut, persist.MagicTrace)
@@ -314,7 +364,7 @@ func TestDecodeSnapshotMalformed(t *testing.T) {
 // and reads it back: meta, record sequence, and the resumability of
 // every embedded seek point.
 func TestTraceArchiveRoundTrip(t *testing.T) {
-	s := NewSession(32, 11, WithSessionEngineMode(JumpEngine))
+	s := newTestSession(t, 32, 11, WithSessionEngineMode(JumpEngine))
 	for i := 0; i < 96; i++ {
 		s.AddBallRandom()
 	}
@@ -399,7 +449,7 @@ func TestTraceArchiveRoundTrip(t *testing.T) {
 // TestTraceArchiveCrashTail: an archive cut off mid-stream (no end
 // section) reads cleanly to its last complete section.
 func TestTraceArchiveCrashTail(t *testing.T) {
-	s := NewSession(8, 2)
+	s := newTestSession(t, 8, 2)
 	for i := 0; i < 16; i++ {
 		s.AddBallRandom()
 	}
@@ -476,7 +526,7 @@ func TestTraceMetaGraphFamilies(t *testing.T) {
 			"random-6-regular", "rejection"},
 	}
 	for _, c := range cases {
-		s := NewSession(16, 9, c.opts...)
+		s := newTestSession(t, 16, 9, c.opts...)
 		for i := 0; i < 32; i++ {
 			s.AddBallRandom()
 		}
@@ -505,7 +555,7 @@ func TestTraceMetaGraphFamilies(t *testing.T) {
 // FuzzDecodeSnapshot: no input, however mangled, may panic the decoder.
 func FuzzDecodeSnapshot(f *testing.F) {
 	for _, tc := range snapshotMatrix() {
-		s := NewSession(16, 5, tc.opts...)
+		s := newTestSession(f, 16, 5, tc.opts...)
 		for i := 0; i < 32; i++ {
 			s.AddBallRandom()
 		}
@@ -536,6 +586,54 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	})
 }
 
+// FuzzOpenTrace: no input may panic the trace reader, and every embedded
+// snapshot it yields goes through ResumeSession's own checks.
+func FuzzOpenTrace(f *testing.F) {
+	for _, tc := range snapshotMatrix() {
+		s := newTestSession(f, 16, 5, tc.opts...)
+		for i := 0; i < 32; i++ {
+			s.AddBallRandom()
+		}
+		var buf bytes.Buffer
+		tw, err := s.NewTraceWriter(&buf, 2)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := s.RunFor(0.5); err != nil {
+				f.Fatal(err)
+			}
+			if err := tw.Point(); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := tw.Close(); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, c := range removedModeArtifacts(f) {
+		if c.trace {
+			f.Add(c.art)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := OpenTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for {
+			item, err := tr.Next()
+			if err != nil {
+				return
+			}
+			if item.Snapshot != nil {
+				_, _ = ResumeSession(bytes.NewReader(item.Snapshot))
+			}
+		}
+	})
+}
+
 // removedModeArtifact is a well-framed artifact that names the removed
 // sharded jump engine, either through engine mode 3 in its header or
 // through a reserved field of its sharded payload.
@@ -547,8 +645,8 @@ type removedModeArtifact struct {
 
 func removedModeArtifacts(t testing.TB) []removedModeArtifact {
 	t.Helper()
-	direct := NewSession(16, 3)
-	sharded := NewSession(16, 3, WithSessionEngineMode(ShardedEngine), WithSessionShards(3))
+	direct := newTestSession(t, 16, 3)
+	sharded := newTestSession(t, 16, 3, WithSessionEngineMode(ShardedEngine), WithSessionShards(3))
 	for _, s := range []*Session{direct, sharded} {
 		for i := 0; i < 48; i++ {
 			s.AddBallRandom()
@@ -575,29 +673,28 @@ func removedModeArtifacts(t testing.TB) []removedModeArtifact {
 	if err := sharded.Snapshot(&shardedSnap); err != nil {
 		t.Fatal(err)
 	}
-	mode3 := func(p []byte) []byte {
-		n, _, shards, strict, topoKind, topoArg, topoSeed, gsampler, note, err := decodeMeta(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var e persist.Enc
-		e.Int(n)
-		e.Int(3)
-		e.Int(shards)
-		e.Bool(strict)
-		e.Int(topoKind)
-		e.Int(topoArg)
-		e.U64(topoSeed)
-		e.Int(gsampler)
-		e.Bytes8(note)
-		return e.Bytes()
-	}
+	mode3 := editSpec(t, func(sp *spec, _ *int) { sp.mode = 3 })
 	return []removedModeArtifact{
 		{"snapshot meta mode 3", false, reframe(t, snap.Bytes(), persist.MagicSnapshot, sectMeta, mode3)},
 		{"trace meta mode 3", true, reframe(t, trace.Bytes(), persist.MagicTrace, sectMeta, mode3)},
 		{"sharded jump flag", false, reframe(t, shardedSnap.Bytes(), persist.MagicSnapshot, sectSharded, setShardedReserved(t, "jump"))},
 		{"sharded horizon", false, reframe(t, shardedSnap.Bytes(), persist.MagicSnapshot, sectSharded, setShardedReserved(t, "horizon"))},
 		{"sharded external census flag", false, reframe(t, shardedSnap.Bytes(), persist.MagicSnapshot, sectSharded, setShardedReserved(t, "hasExt"))},
+	}
+}
+
+// editSpec returns a meta-section edit that decodes the header, applies
+// edit to its spec and bin count, and re-encodes it with the same note.
+func editSpec(t testing.TB, edit func(sp *spec, n *int)) func([]byte) []byte {
+	return func(p []byte) []byte {
+		sp, n, note, err := decodeSpec(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(&sp, &n)
+		var e persist.Enc
+		sp.encode(&e, n, note)
+		return e.Bytes()
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/graphs"
 	"repro/internal/hetero"
 	"repro/internal/loadvec"
 	"repro/internal/rng"
@@ -38,26 +37,12 @@ func FromLoads(loads []int) Placement {
 	return Placement{loadvec.FromVector(loadvec.Vector(loads).Clone())}
 }
 
-// targetKind identifies which stop condition a Target expresses, so
-// option plumbing can dispatch on it without comparing description
-// strings.
-type targetKind int
-
-const (
-	targetPerfect targetKind = iota
-	targetBalanced
-	targetTime
-)
-
-// Target is a stop condition for a run. The kind plus its numeric
-// argument fully describe the condition, so every engine mode — including
-// the sharded engine, whose stop conditions read the folded global view
-// rather than a *sim.Engine — can reconstruct it.
+// Target is a stop condition for a run: one engine-neutral goal that
+// every engine mode reads in its own form.
 type Target struct {
-	kind targetKind
-	arg  float64 // threshold for targetBalanced, horizon for targetTime
-	stop func(e *sim.Engine) bool
-	desc string
+	goal    sim.Goal
+	perfect bool // UntilPerfect, which bin speeds turn into a Nash test
+	desc    string
 }
 
 // String returns a stable description of the target ("perfect",
@@ -66,145 +51,18 @@ func (t Target) String() string { return t.desc }
 
 // UntilPerfect stops at perfect balance (disc < 1) — the paper's T.
 func UntilPerfect() Target {
-	return Target{kind: targetPerfect, stop: sim.UntilPerfect(), desc: "perfect"}
+	return Target{goal: sim.GoalPerfect(), perfect: true, desc: "perfect"}
 }
 
 // UntilBalanced stops at disc ≤ x.
 func UntilBalanced(x float64) Target {
-	return Target{kind: targetBalanced, arg: x, stop: sim.UntilBalanced(x), desc: fmt.Sprintf("disc<=%g", x)}
+	return Target{goal: sim.GoalBalanced(x), desc: fmt.Sprintf("disc<=%g", x)}
 }
 
 // UntilTime stops at continuous time t.
 func UntilTime(t float64) Target {
-	return Target{kind: targetTime, arg: t, stop: sim.UntilTime(t), desc: fmt.Sprintf("t=%g", t)}
+	return Target{goal: sim.GoalTime(t), desc: fmt.Sprintf("t=%g", t)}
 }
-
-// Topology restricts destination sampling to a graph neighborhood
-// (§7 extension). The zero value means the complete topology of §3.
-type Topology struct {
-	g graphs.Graph
-	// Random-regular topologies are a factory, not a graph: the adjacency
-	// needs the runner's n, so resolveGraph builds it from (d, seed) at
-	// engine-construction time (deterministically — snapshots persist the
-	// pair and rebuild the same graph on resume).
-	rrD    int
-	rrSeed uint64
-}
-
-// active reports whether the topology restricts sampling at all (i.e. is
-// not the complete topology).
-func (t Topology) active() bool { return t.g != nil || t.rrD > 0 }
-
-// CompleteTopology is the paper's original setting (sample any bin).
-func CompleteTopology() Topology { return Topology{} }
-
-// RingTopology samples among the two ring neighbors.
-func RingTopology() Topology { return Topology{g: graphs.Ring{}} }
-
-// TorusTopology samples among the four torus neighbors; the runner's bin
-// count must be side².
-func TorusTopology(side int) Topology { return Topology{g: graphs.Torus2D{Side: side}} }
-
-// HypercubeTopology samples among the hypercube neighbors; the runner's
-// bin count must be 2^dim.
-func HypercubeTopology(dim int) Topology { return Topology{g: graphs.Hypercube{Dim: dim}} }
-
-// ExpanderTopology samples among the eight Margulis–Gabber–Galil expander
-// neighbors; the runner's bin count must be a perfect square (the side
-// adapts to √n). Constant spectral gap at any size — the catalogue's
-// fast-mixing family.
-func ExpanderTopology() Topology { return Topology{g: graphs.Expander{}} }
-
-// RandomRegularTopology samples among the d neighbor slots of a random
-// d-regular multigraph built deterministically from seed (the pairing
-// model with switching repair; construction randomness is a dedicated
-// stream, independent of the run's WithSeed stream). n·d must be even
-// and 1 ≤ d < n. With d above sim.GraphSamplerThreshold the jump
-// engine's auto mode switches to the rejection-within-blocks sampler —
-// the dense regime this family exists to exercise.
-func RandomRegularTopology(d int, seed uint64) Topology {
-	return Topology{rrD: d, rrSeed: seed}
-}
-
-// EngineMode selects how a run is simulated. Value 3 is reserved for a
-// removed sharded jump mode: Runner and Session reject it, and snapshots
-// and trace archives that name it fail to decode.
-type EngineMode int
-
-const (
-	// DirectEngine simulates every ball activation: an Exp(m) gap, a
-	// uniform ball, a uniform destination, and the protocol's accept test.
-	// Near balance almost every activation is a rejected null move, so a
-	// run costs O(activations). This is the default and supports every
-	// option (strict rule, topologies, speeds, samplers).
-	DirectEngine EngineMode = iota
-	// JumpEngine simulates only the embedded jump chain of productive
-	// moves: activations advance geometrically, time by the matching
-	// Gamma(k, m) gap, and the move is sampled exactly from the live move
-	// weight (see internal/sim.NewJumpEngine). The balancing-time law is
-	// identical to DirectEngine (experiments A4/A7/A8 KS-test it); cost
-	// drops from O(activations) to O(moves·log Δ), Δ the current max
-	// load. Three rule/topology variants compose: plain and strict tie
-	// rules on the complete topology (the move weight shifts from C(v−1)
-	// to C(v−2) eligible destinations), and the plain rule on any regular
-	// graph topology (per-source admissible-slot counts,
-	// O(Δ_G²+Δ_G·log n) per move, Δ_G the degree — built for bounded
-	// degree). Strict+topology and bin speeds remain
-	// DirectEngine-only; per-activation traces coarsen to per-move blocks.
-	JumpEngine
-	// ShardedEngine partitions the bins into WithShards contiguous ranges
-	// simulated by concurrent goroutine workers, each with its own
-	// configuration, sampler, and deterministic RNG stream; cross-shard
-	// moves drain through bounded queues at epoch barriers and the global
-	// stop conditions read a per-barrier reconciliation of the shard
-	// histograms (see internal/sim.NewSharded). It targets the dense
-	// regime (m ≫ n, many productive moves) the other modes leave
-	// single-threaded; experiment A5 KS-validates the balancing-time law
-	// against DirectEngine. Plain RLS on the complete topology only; stop
-	// conditions and traces coarsen to epoch granularity for P > 1, while
-	// P = 1 reproduces the direct engine byte-for-byte.
-	ShardedEngine
-)
-
-// String returns "direct", "jump", or "sharded".
-func (m EngineMode) String() string {
-	switch m {
-	case JumpEngine:
-		return "jump"
-	case ShardedEngine:
-		return "sharded"
-	}
-	return "direct"
-}
-
-// valid reports whether m names one of the three engine modes.
-func (m EngineMode) valid() bool { return m >= DirectEngine && m <= ShardedEngine }
-
-// GraphSampler selects how the jump engine maintains the move weight on
-// a graph topology. It never changes the balancing law — only which
-// bookkeeping pays for it (see internal/sim's GraphSamplerMode).
-type GraphSampler int
-
-const (
-	// GraphSamplerAuto (the default) picks exact for degree ≤
-	// sim.GraphSamplerThreshold(n) and rejection above — a pure function
-	// of (Δ_G, n), so fixed-seed runs reproduce and snapshots resume onto
-	// the same sampler.
-	GraphSamplerAuto GraphSampler = iota
-	// GraphSamplerExact forces the per-source admissible index: every
-	// simulated event is a real move, O(Δ_G²+Δ_G·log n) per move.
-	GraphSamplerExact
-	// GraphSamplerRejection forces rejection-within-blocks against the
-	// lazy bound Ŵ_G ≥ W_G: expected Ŵ_G/W_G events per move at
-	// O(Δ_G·log n) each — the dense-degree trade.
-	GraphSamplerRejection
-)
-
-// String returns "auto", "exact", or "rejection".
-func (gs GraphSampler) String() string { return sim.GraphSamplerMode(gs).String() }
-
-// simMode converts to the sim-layer enum (same numbering by definition).
-func (gs GraphSampler) simMode() sim.GraphSamplerMode { return sim.GraphSamplerMode(gs) }
 
 // Option configures a Runner.
 type Option func(*Runner)
@@ -235,7 +93,7 @@ func WithTopology(t Topology) Option { return func(r *Runner) { r.topology = t }
 // value. The law is unchanged either way — the differential tests and
 // the A8 gate hold both samplers to the direct engine's distribution.
 func WithGraphSampler(gs GraphSampler) Option {
-	return func(r *Runner) { r.graphSampler = gs }
+	return func(r *Runner) { r.sampler = gs }
 }
 
 // WithSpeeds gives bin i speed speeds[i] and switches to the §7
@@ -256,8 +114,8 @@ func WithFenwickEngine() Option { return func(r *Runner) { r.fenwick = true } }
 func WithEngineMode(m EngineMode) Option { return func(r *Runner) { r.mode = m } }
 
 // WithShards sets the sharded engine's worker count P (default
-// sim.DefaultShards; clamped to the bin count); it composes with
-// ShardedEngine. The shard count is part of the random-stream layout, so
+// sim.DefaultShards; clamped to the bin count); any other mode rejects
+// P > 0. The shard count is part of the random-stream layout, so
 // fixed-seed runs reproduce only for the same P.
 func WithShards(p int) Option { return func(r *Runner) { r.shards = p } }
 
@@ -274,19 +132,15 @@ func WithActivationBudget(k int64) Option { return func(r *Runner) { r.budget = 
 
 // Runner executes RLS runs for one (n, m, options) setting.
 type Runner struct {
-	n, m         int
-	seed         uint64
-	placement    Placement
-	target       Target
-	strict       bool
-	topology     Topology
-	graphSampler GraphSampler
-	speeds       []float64
-	fenwick      bool
-	mode         EngineMode
-	shards       int
-	shardEpoch   float64
-	budget       int64
+	spec
+	n, m       int
+	seed       uint64
+	placement  Placement
+	target     Target
+	speeds     []float64
+	fenwick    bool
+	shardEpoch float64
+	budget     int64
 }
 
 // New creates a Runner for n bins and m balls. It panics unless n ≥ 1 and
@@ -345,138 +199,75 @@ type TracePoint struct {
 	MaxLoad     int
 }
 
-// resolveGraph concretizes a Topology against a bin count: the ring and
-// expander adapt their vertex count to n (the expander needs square n),
-// the torus and hypercube must match it exactly, and random-regular
-// builds its adjacency from (d, seed). Both the direct mover and the
-// graph jump engine resolve through here, so mismatches produce the same
-// errors in every mode.
-func resolveGraph(t Topology, n int) (graphs.Graph, error) {
-	if t.rrD > 0 {
-		if t.rrD >= n {
-			return nil, fmt.Errorf("rls: random-regular degree %d does not fit n=%d", t.rrD, n)
-		}
-		g, err := graphs.NewRandomRegularSeed(n, t.rrD, t.rrSeed)
-		if err != nil {
-			return nil, err
-		}
-		return g, nil
+// validate adds the Runner-only knobs — bin speeds, the Fenwick sampler
+// and the shard epoch — to the spec's rule table.
+func (r *Runner) validate() error {
+	if err := r.spec.validate(r.n); err != nil {
+		return err
 	}
-	g := t.g
-	switch tt := g.(type) {
-	case graphs.Ring:
-		g = graphs.Ring{Vertices: n} // the ring adapts to the runner's n
-	case graphs.Torus2D:
-		if tt.Side*tt.Side != n {
-			return nil, fmt.Errorf("rls: torus side %d does not match n=%d", tt.Side, n)
-		}
-	case graphs.Hypercube:
-		if 1<<tt.Dim != n {
-			return nil, fmt.Errorf("rls: hypercube dim %d does not match n=%d", tt.Dim, n)
-		}
-	case graphs.Expander:
-		side := 1
-		for side*side < n {
-			side++
-		}
-		if side*side != n {
-			return nil, fmt.Errorf("rls: the expander needs a square bin count, n=%d is not", n)
-		}
-		g = graphs.Expander{Side: side} // the expander adapts to the runner's n
+	switch {
+	case r.speeds != nil && r.mode == JumpEngine:
+		return fmt.Errorf("rls: the jump engine does not support bin speeds; use DirectEngine")
+	case r.speeds != nil && r.mode == ShardedEngine:
+		return errShardedVariant
+	case r.speeds != nil && len(r.speeds) != r.n:
+		return fmt.Errorf("rls: %d speeds for %d bins", len(r.speeds), r.n)
+	case r.speeds != nil && r.topology.active():
+		return fmt.Errorf("rls: speeds and topology cannot be combined yet")
+	case r.fenwick && r.mode == JumpEngine:
+		return fmt.Errorf("rls: the jump engine has no activation sampler; drop WithFenwickEngine")
+	case r.fenwick && r.mode == ShardedEngine:
+		return fmt.Errorf("rls: the sharded engine owns per-shard ball lists; drop WithFenwickEngine")
+	case r.mode == ShardedEngine && r.shardEpoch < 0:
+		return fmt.Errorf("rls: negative shard epoch %g", r.shardEpoch)
 	}
-	return g, nil
+	return nil
 }
 
-// mover picks the decision rule implied by the options.
-func (r *Runner) mover() (sim.Mover, error) {
+// Run executes one run and returns its Result. Configuration errors
+// (mismatched topology or speeds) are returned, not panicked.
+func (r *Runner) Run() (Result, error) {
+	res, _, err := r.run(0)
+	return res, err
+}
+
+// RunTraced is Run plus a trajectory sampled every `every` activations
+// (epoch-granular for the sharded engine with P > 1).
+func (r *Runner) RunTraced(every int64) (Result, []TracePoint, error) {
+	if every <= 0 {
+		every = 1
+	}
+	return r.run(every)
+}
+
+// run builds the configured engine over the placement and drives it to
+// the target, sampling a trajectory when every > 0.
+func (r *Runner) run(every int64) (Result, []TracePoint, error) {
+	if err := r.validate(); err != nil {
+		return Result{}, nil, err
+	}
+	goal := r.target.goal
+	var mover sim.Mover
 	if r.speeds != nil {
-		if len(r.speeds) != r.n {
-			return nil, fmt.Errorf("rls: %d speeds for %d bins", len(r.speeds), r.n)
+		var err error
+		if mover, err = hetero.NewSpeedRLS(r.speeds); err != nil {
+			return Result{}, nil, err
 		}
-		if r.topology.active() {
-			return nil, fmt.Errorf("rls: speeds and topology cannot be combined yet")
+		if r.target.perfect {
+			goal = sim.GoalLoads(hetero.SpeedNashStop(r.speeds))
 		}
-		return hetero.NewSpeedRLS(r.speeds)
 	}
-	if r.topology.active() {
-		if r.strict {
-			return nil, fmt.Errorf("rls: strict tie rule on a topology is not supported")
-		}
-		g, err := resolveGraph(r.topology, r.n)
-		if err != nil {
-			return nil, err
-		}
-		return graphs.GraphRLS{G: g}, nil
-	}
-	if r.strict {
-		return core.StrictRLS{}, nil
-	}
-	return core.RLS{}, nil
-}
-
-// shardedEngine builds the sharded engine, rejecting the options it does
-// not support (it remains plain-rule, complete-topology only; see the
-// EngineMode docs).
-func (r *Runner) shardedEngine() (*sim.Sharded, error) {
-	if r.strict || r.topology.active() || r.speeds != nil {
-		return nil, fmt.Errorf("rls: the %s engine supports neither the strict tie rule, nor topologies, nor bin speeds; DirectEngine supports all three, JumpEngine the first two", r.mode)
-	}
-	if r.graphSampler != GraphSamplerAuto {
-		return nil, fmt.Errorf("rls: WithGraphSampler needs the jump engine on a graph topology")
-	}
+	var sampler sim.ActivationSampler
 	if r.fenwick {
-		return nil, fmt.Errorf("rls: the %s engine owns per-shard ball lists; drop WithFenwickEngine", r.mode)
-	}
-	if r.shards < 0 {
-		return nil, fmt.Errorf("rls: %d shards", r.shards)
-	}
-	if r.shardEpoch < 0 {
-		return nil, fmt.Errorf("rls: negative shard epoch %g", r.shardEpoch)
+		sampler = sim.NewFenwick()
 	}
 	stream := rng.New(r.seed)
-	v := r.placement.gen.Generate(r.n, r.m, stream)
-	return sim.NewSharded(v, r.shards, r.shardEpoch, stream), nil
-}
-
-// shardedStop reconstructs the configured Target over the sharded
-// engine's folded global view, dispatching on the target kind.
-func (r *Runner) shardedStop() sim.ShardedStop {
-	switch r.target.kind {
-	case targetBalanced:
-		return sim.ShardedUntilBalanced(r.target.arg)
-	case targetTime:
-		return sim.ShardedUntilTime(r.target.arg)
-	default:
-		return sim.ShardedUntilPerfect()
+	e, err := r.build(r.placement.gen.Generate(r.n, r.m, stream), stream, mover, sampler, r.shardEpoch)
+	if err != nil {
+		return Result{}, nil, err
 	}
-}
-
-// attachShardedPhases hooks phase-crossing tracking into the sharded
-// engine's PostCheck: with P > 1 crossings are observed at epoch
-// barriers (the mode's granularity), with P = 1 at every activation —
-// matching the direct engine's move-exact times.
-func (r *Runner) attachShardedPhases(e *sim.Sharded) *PhaseTimes {
-	ph := &PhaseTimes{LogBalanced: -1, OneBalanced: -1, Perfect: -1}
-	logTarget := core.LogBalancedTarget(r.n)
-	observe := func(s *sim.Sharded) {
-		disc := s.Disc()
-		now := s.Time()
-		if ph.LogBalanced < 0 && disc <= logTarget {
-			ph.LogBalanced = now
-		}
-		if ph.OneBalanced < 0 && disc <= 1 {
-			ph.OneBalanced = now
-		}
-		if ph.Perfect < 0 && s.IsPerfect() {
-			ph.Perfect = now
-		}
-	}
-	e.PostCheck = observe
-	observe(e) // the initial configuration may already satisfy targets
-	return ph
-}
-
-func (r *Runner) shardedResult(res sim.Result, ph *PhaseTimes) Result {
+	phases := trackPhases(e, r.n)
+	res, trace := e.RunGoal(goal, r.budget, every)
 	return Result{
 		Time:        res.Time,
 		Activations: res.Activations,
@@ -484,122 +275,31 @@ func (r *Runner) shardedResult(res sim.Result, ph *PhaseTimes) Result {
 		Reached:     res.Stopped,
 		Final:       res.Final,
 		Disc:        res.Final.Disc(),
-		Phases:      *ph,
-	}
+		Phases:      *phases,
+	}, toTracePoints(trace), nil
 }
 
-// engine builds the configured engine and tracker.
-func (r *Runner) engine() (*sim.Engine, *core.PhaseTracker, error) {
-	if !r.mode.valid() {
-		return nil, nil, fmt.Errorf("rls: unknown engine mode %d", int(r.mode))
-	}
-	if r.mode == JumpEngine {
-		if r.speeds != nil {
-			return nil, nil, fmt.Errorf("rls: the jump engine does not support bin speeds; use DirectEngine")
+// trackPhases records the §6 phase crossings as the engine observes
+// them: after every move in the sequential modes, at every stop check in
+// the sharded one (each barrier for P > 1, each activation for P = 1).
+func trackPhases(e engine, n int) *PhaseTimes {
+	ph := &PhaseTimes{LogBalanced: -1, OneBalanced: -1, Perfect: -1}
+	logTarget := core.LogBalancedTarget(n)
+	observe := func() {
+		disc, now := e.Disc(), e.Time()
+		if ph.LogBalanced < 0 && disc <= logTarget {
+			ph.LogBalanced = now
 		}
-		if r.fenwick {
-			return nil, nil, fmt.Errorf("rls: the jump engine has no activation sampler; drop WithFenwickEngine")
+		if ph.OneBalanced < 0 && disc <= 1 {
+			ph.OneBalanced = now
 		}
-		if r.strict && r.topology.active() {
-			return nil, nil, fmt.Errorf("rls: strict tie rule on a topology is not supported")
-		}
-		if r.graphSampler != GraphSamplerAuto && !r.topology.active() {
-			return nil, nil, fmt.Errorf("rls: WithGraphSampler needs the jump engine on a graph topology")
-		}
-		stream := rng.New(r.seed)
-		v := r.placement.gen.Generate(r.n, r.m, stream)
-		var e *sim.Engine
-		switch {
-		case r.topology.active():
-			g, err := resolveGraph(r.topology, r.n)
-			if err != nil {
-				return nil, nil, err
-			}
-			if _, ok := graphs.RegularDegree(g); !ok {
-				return nil, nil, fmt.Errorf("rls: the jump engine needs a regular topology, %s is not", g.Name())
-			}
-			e = sim.NewGraphJumpEngineMode(v, g, r.graphSampler.simMode(), stream)
-		case r.strict:
-			e = sim.NewStrictJumpEngine(v, stream)
-		default:
-			e = sim.NewJumpEngine(v, stream)
-		}
-		if r.target.kind == targetTime {
-			// Clamp the final geometric block at the horizon so time-targeted
-			// jump runs stop at exactly the target instead of overshooting by
-			// up to a whole block. All three jump variants condition the clamp
-			// on their exact accepted-event rate.
-			e.SetHorizon(r.target.arg)
-		}
-		return e, core.NewPhaseTracker(e), nil
-	}
-	if r.graphSampler != GraphSamplerAuto {
-		return nil, nil, fmt.Errorf("rls: WithGraphSampler needs the jump engine on a graph topology")
-	}
-	mover, err := r.mover()
-	if err != nil {
-		return nil, nil, err
-	}
-	stream := rng.New(r.seed)
-	v := r.placement.gen.Generate(r.n, r.m, stream)
-	var sampler sim.ActivationSampler
-	if r.fenwick {
-		sampler = sim.NewFenwick()
-	}
-	e := sim.NewEngine(v, mover, sampler, stream)
-	tr := core.NewPhaseTracker(e)
-	return e, tr, nil
-}
-
-// stop returns the effective stop condition, adapting UntilPerfect to the
-// Nash condition when speeds are configured.
-func (r *Runner) stop() func(e *sim.Engine) bool {
-	if r.speeds != nil && r.target.kind == targetPerfect {
-		speeds := r.speeds
-		return func(e *sim.Engine) bool {
-			return hetero.IsSpeedNash(e.Cfg().Loads(), speeds)
+		if ph.Perfect < 0 && e.IsPerfect() {
+			ph.Perfect = now
 		}
 	}
-	return r.target.stop
-}
-
-// Run executes one run and returns its Result. Configuration errors
-// (mismatched topology or speeds) are returned, not panicked.
-func (r *Runner) Run() (Result, error) {
-	if r.mode == ShardedEngine {
-		e, err := r.shardedEngine()
-		if err != nil {
-			return Result{}, err
-		}
-		ph := r.attachShardedPhases(e)
-		return r.shardedResult(e.Run(r.shardedStop(), r.budget), ph), nil
-	}
-	e, tr, err := r.engine()
-	if err != nil {
-		return Result{}, err
-	}
-	res := e.Run(r.stop(), r.budget)
-	return r.result(res, tr), nil
-}
-
-// RunTraced is Run plus a trajectory sampled every `every` activations
-// (epoch-granular for the sharded engine with P > 1).
-func (r *Runner) RunTraced(every int64) (Result, []TracePoint, error) {
-	if r.mode == ShardedEngine {
-		e, err := r.shardedEngine()
-		if err != nil {
-			return Result{}, nil, err
-		}
-		ph := r.attachShardedPhases(e)
-		res, rawTrace := e.RunTraced(r.shardedStop(), r.budget, every)
-		return r.shardedResult(res, ph), toTracePoints(rawTrace), nil
-	}
-	e, tr, err := r.engine()
-	if err != nil {
-		return Result{}, nil, err
-	}
-	res, rawTrace := e.RunTraced(r.stop(), r.budget, every)
-	return r.result(res, tr), toTracePoints(rawTrace), nil
+	e.Observe(observe)
+	observe() // the initial configuration may already satisfy targets
+	return ph
 }
 
 // toTracePoints converts an engine trace to the public representation.
@@ -615,22 +315,6 @@ func toTracePoints(raw []sim.TracePoint) []TracePoint {
 		}
 	}
 	return trace
-}
-
-func (r *Runner) result(res sim.Result, tr *core.PhaseTracker) Result {
-	return Result{
-		Time:        res.Time,
-		Activations: res.Activations,
-		Moves:       res.Moves,
-		Reached:     res.Stopped,
-		Final:       res.Final,
-		Disc:        res.Final.Disc(),
-		Phases: PhaseTimes{
-			LogBalanced: tr.Times.LogBalanced,
-			OneBalanced: tr.Times.OneBalanced,
-			Perfect:     tr.Times.Perfect,
-		},
-	}
 }
 
 // Disc returns the discrepancy max_i |ℓ_i − m/n| of a load vector.

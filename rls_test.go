@@ -142,6 +142,13 @@ func TestTopologyMismatchErrors(t *testing.T) {
 	if _, err := New(10, 100, WithTopology(HypercubeTopology(3))).Run(); err == nil {
 		t.Error("hypercube mismatch accepted")
 	}
+	// A non-positive n gives the torus side 0 at once, which fails.
+	for _, n := range []int{0, -5} {
+		topo, err := ParseTopology("torus", n, 1)
+		if err != nil || topo != TorusTopology(0) || topo.check(n) == nil {
+			t.Errorf("n=%d: parsed %v (err %v), want the failing side-0 torus", n, topo, err)
+		}
+	}
 }
 
 func TestSpeeds(t *testing.T) {
@@ -257,7 +264,7 @@ func TestNewPanics(t *testing.T) {
 }
 
 func TestSessionChurn(t *testing.T) {
-	s := NewSession(8, 21)
+	s := newTestSession(t, 8, 21)
 	for i := 0; i < 40; i++ {
 		s.AddBallRandom()
 	}
@@ -295,7 +302,7 @@ func TestSessionChurn(t *testing.T) {
 }
 
 func TestSessionErrors(t *testing.T) {
-	s := NewSession(2, 1)
+	s := newTestSession(t, 2, 1)
 	if err := s.AddBall(5); err == nil {
 		t.Error("out-of-range AddBall accepted")
 	}
@@ -314,7 +321,7 @@ func TestSessionErrors(t *testing.T) {
 }
 
 func TestSessionRunFor(t *testing.T) {
-	s := NewSession(4, 33)
+	s := newTestSession(t, 4, 33)
 	for i := 0; i < 16; i++ {
 		s.AddBall(0)
 	}
@@ -324,4 +331,15 @@ func TestSessionRunFor(t *testing.T) {
 	if s.Time() < 2.5 {
 		t.Errorf("time = %g, want >= 2.5", s.Time())
 	}
+}
+
+// newTestSession is NewSession for option sets the test expects to
+// compose; it fails the test otherwise.
+func newTestSession(tb testing.TB, n int, seed uint64, opts ...SessionOption) *Session {
+	tb.Helper()
+	s, err := NewSession(n, seed, opts...)
+	if err != nil {
+		tb.Fatalf("NewSession: %v", err)
+	}
+	return s
 }

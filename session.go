@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/core"
-	"repro/internal/graphs"
 	"repro/internal/loadvec"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -51,80 +49,10 @@ type Session struct {
 	// mu serializes every method; see the Concurrency section above. The
 	// methods below must not call each other while holding it — shared
 	// logic lives in unexported unlocked helpers.
-	mu           sync.Mutex
-	engine       sessionEngine
-	stream       *rng.RNG
-	mode         EngineMode
-	shards       int
-	strict       bool
-	topology     Topology
-	graphSampler GraphSampler
-}
-
-// sessionEngine is the churn-plus-execution surface Session drives; it is
-// implemented by both the sequential engine (direct and jump modes) and
-// the sharded engine.
-type sessionEngine interface {
-	AddBall(bin int)
-	RemoveBall(bin int)
-	RandomBin() int
-	Time() float64
-	Activations() int64
-	Moves() int64
-	Bins() int
-	Balls() int
-	BinLoad(bin int) int
-	SnapshotLoads() loadvec.Vector
-	CurrentDisc() float64
-	RunUntilTime(t float64, maxActivations int64)
-	RunToPerfect(maxActivations int64) bool
-}
-
-// sequentialSession adapts *sim.Engine (direct or jump mode).
-type sequentialSession struct{ e *sim.Engine }
-
-func (a sequentialSession) AddBall(bin int)               { a.e.AddBall(bin) }
-func (a sequentialSession) RemoveBall(bin int)            { a.e.RemoveBall(bin) }
-func (a sequentialSession) RandomBin() int                { return a.e.RandomBin() }
-func (a sequentialSession) Time() float64                 { return a.e.Time() }
-func (a sequentialSession) Activations() int64            { return a.e.Activations() }
-func (a sequentialSession) Moves() int64                  { return a.e.Moves() }
-func (a sequentialSession) Bins() int                     { return a.e.Cfg().N() }
-func (a sequentialSession) Balls() int                    { return a.e.Cfg().M() }
-func (a sequentialSession) BinLoad(bin int) int           { return a.e.Cfg().Load(bin) }
-func (a sequentialSession) SnapshotLoads() loadvec.Vector { return a.e.Cfg().Snapshot() }
-func (a sequentialSession) CurrentDisc() float64          { return a.e.Cfg().Disc() }
-func (a sequentialSession) RunUntilTime(t float64, maxActivations int64) {
-	// The horizon clamps jump-mode blocks exactly at t (direct mode ignores
-	// it); clear it afterwards — the engine persists across runs.
-	a.e.SetHorizon(t)
-	a.e.Run(sim.UntilTime(t), maxActivations)
-	a.e.SetHorizon(0)
-}
-func (a sequentialSession) RunToPerfect(maxActivations int64) bool {
-	a.e.SetHorizon(0)
-	return a.e.Run(sim.UntilPerfect(), maxActivations).Stopped
-}
-
-// shardedSession adapts *sim.Sharded.
-type shardedSession struct{ e *sim.Sharded }
-
-func (a shardedSession) AddBall(bin int)               { a.e.AddBall(bin) }
-func (a shardedSession) RemoveBall(bin int)            { a.e.RemoveBall(bin) }
-func (a shardedSession) RandomBin() int                { return a.e.RandomBin() }
-func (a shardedSession) Time() float64                 { return a.e.Time() }
-func (a shardedSession) Activations() int64            { return a.e.Activations() }
-func (a shardedSession) Moves() int64                  { return a.e.Moves() }
-func (a shardedSession) Bins() int                     { return a.e.N() }
-func (a shardedSession) Balls() int                    { return a.e.M() }
-func (a shardedSession) BinLoad(bin int) int           { return a.e.Load(bin) }
-func (a shardedSession) SnapshotLoads() loadvec.Vector { return a.e.Snapshot() }
-func (a shardedSession) CurrentDisc() float64          { return a.e.Disc() }
-func (a shardedSession) RunUntilTime(t float64, maxActivations int64) {
-	a.e.Run(sim.ShardedUntilTime(t), maxActivations)
-}
-func (a shardedSession) RunToPerfect(maxActivations int64) bool {
-	return a.e.Run(sim.ShardedUntilPerfect(), maxActivations).Stopped
+	mu     sync.Mutex
+	engine engine
+	stream *rng.RNG
+	spec
 }
 
 // SessionOption configures a Session.
@@ -137,8 +65,7 @@ func WithSessionEngineMode(m EngineMode) SessionOption {
 }
 
 // WithSessionShards sets the sharded session's worker count (default
-// sim.DefaultShards); it only takes effect with
-// WithSessionEngineMode(ShardedEngine).
+// sim.DefaultShards); any other mode rejects P > 0.
 func WithSessionShards(p int) SessionOption {
 	return func(s *Session) { s.shards = p }
 }
@@ -162,70 +89,37 @@ func WithSessionTopology(t Topology) SessionOption {
 // WithSessionGraphSampler overrides the jump mode's graph sampler choice
 // (default GraphSamplerAuto; see WithGraphSampler). It composes only
 // with WithSessionEngineMode(JumpEngine) plus a topology; NewSession
-// panics on any other combination.
+// rejects any other combination.
 func WithSessionGraphSampler(gs GraphSampler) SessionOption {
-	return func(s *Session) { s.graphSampler = gs }
+	return func(s *Session) { s.sampler = gs }
 }
 
-// NewSession creates a session with n empty bins.
-func NewSession(n int, seed uint64, opts ...SessionOption) *Session {
-	if n < 1 {
-		panic("rls: NewSession needs at least one bin")
-	}
+// NewSession creates a session with n empty bins. It returns an error,
+// and no session, when the options do not compose (see doc.go's rule
+// table) or the topology does not fit n.
+func NewSession(n int, seed uint64, opts ...SessionOption) (*Session, error) {
 	s := &Session{stream: rng.New(seed)}
 	for _, o := range opts {
 		o(s)
 	}
-	if !s.mode.valid() {
-		panic(fmt.Sprintf("rls: unknown engine mode %d", int(s.mode)))
+	if err := s.start(n); err != nil {
+		return nil, err
 	}
-	if s.strict && s.topology.active() {
-		panic("rls: strict tie rule on a topology is not supported")
-	}
-	if s.graphSampler != GraphSamplerAuto && !(s.mode == JumpEngine && s.topology.active()) {
-		panic("rls: WithSessionGraphSampler needs the jump engine on a graph topology")
-	}
-	switch s.mode {
-	case JumpEngine:
-		switch {
-		case s.topology.active():
-			s.engine = sequentialSession{sim.NewGraphJumpEngineMode(make(loadvec.Vector, n), s.sessionGraph(n), s.graphSampler.simMode(), s.stream)}
-		case s.strict:
-			s.engine = sequentialSession{sim.NewStrictJumpEngine(make(loadvec.Vector, n), s.stream)}
-		default:
-			s.engine = sequentialSession{sim.NewJumpEngine(make(loadvec.Vector, n), s.stream)}
-		}
-	case ShardedEngine:
-		if s.strict || s.topology.active() {
-			panic("rls: sharded sessions support only plain RLS on the complete topology")
-		}
-		s.engine = shardedSession{sim.NewSharded(make(loadvec.Vector, n), s.shards, 0, s.stream)}
-	default:
-		var mover sim.Mover = core.RLS{}
-		if s.topology.active() {
-			mover = graphs.GraphRLS{G: s.sessionGraph(n)}
-		} else if s.strict {
-			mover = core.StrictRLS{}
-		}
-		s.engine = sequentialSession{sim.NewEngine(make(loadvec.Vector, n), mover, sim.NewBallList(), s.stream)}
-	}
-	return s
+	return s, nil
 }
 
-// sessionGraph resolves the configured topology against the session's bin
-// count, panicking (NewSession's error style) on a mismatch or — in jump
-// mode — an irregular graph.
-func (s *Session) sessionGraph(n int) graphs.Graph {
-	g, err := resolveGraph(s.topology, n)
+// start validates the session's spec against n bins and builds its empty
+// engine on the session stream.
+func (s *Session) start(n int) error {
+	if err := s.validate(n); err != nil {
+		return err
+	}
+	e, err := s.build(make(loadvec.Vector, n), s.stream, nil, nil, 0)
 	if err != nil {
-		panic(err.Error())
+		return err
 	}
-	if s.mode == JumpEngine {
-		if _, ok := graphs.RegularDegree(g); !ok {
-			panic(fmt.Sprintf("rls: the jump engine needs a regular topology, %s is not", g.Name()))
-		}
-	}
-	return g
+	s.engine = e
+	return nil
 }
 
 // Mode returns the session's engine mode. The mode is fixed at
@@ -241,78 +135,40 @@ func (s *Session) Strict() bool { return s.strict }
 
 // TopologyName returns the session topology's name: "complete", "ring",
 // "torus", "hypercube", "expander", or "random-<d>-regular".
-func (s *Session) TopologyName() string {
-	if s.topology.rrD > 0 {
-		return fmt.Sprintf("random-%d-regular", s.topology.rrD)
-	}
-	switch s.topology.g.(type) {
-	case graphs.Ring:
-		return "ring"
-	case graphs.Torus2D:
-		return "torus"
-	case graphs.Hypercube:
-		return "hypercube"
-	case graphs.Expander:
-		return "expander"
-	}
-	return "complete"
-}
+func (s *Session) TopologyName() string { return s.topology.String() }
 
 // GraphSamplerChoice returns the session's configured graph sampler mode
 // (GraphSamplerAuto unless overridden); fixed at creation.
-func (s *Session) GraphSamplerChoice() GraphSampler { return s.graphSampler }
+func (s *Session) GraphSamplerChoice() GraphSampler { return s.sampler }
 
 // N returns the number of bins.
 func (s *Session) N() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.engine.Bins()
+	return s.engine.N()
 }
 
 // M returns the current number of balls.
-func (s *Session) M() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engine.Balls()
-}
+func (s *Session) M() int { return s.Stats().Balls }
 
 // Loads returns a copy of the current load vector.
 func (s *Session) Loads() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.engine.SnapshotLoads()
+	return s.engine.Snapshot()
 }
 
-// Disc returns the current discrepancy.
-func (s *Session) Disc() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.engine.Balls() == 0 {
-		return 0
-	}
-	return s.engine.CurrentDisc()
-}
+// Disc returns the current discrepancy (0 for an empty session).
+func (s *Session) Disc() float64 { return s.Stats().Disc }
 
 // Time returns the total elapsed continuous time across the session.
-func (s *Session) Time() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engine.Time()
-}
+func (s *Session) Time() float64 { return s.Stats().Time }
 
 // Activations returns the total ball activations across the session.
-func (s *Session) Activations() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engine.Activations()
-}
+func (s *Session) Activations() int64 { return s.Stats().Activations }
 
 // Moves returns the total protocol moves across the session.
-func (s *Session) Moves() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engine.Moves()
-}
+func (s *Session) Moves() int64 { return s.Stats().Moves }
 
 // Stats returns one consistent snapshot of the session's scalar counters
 // — time, activations, moves, ball count, and discrepancy — under a
@@ -326,10 +182,10 @@ func (s *Session) Stats() SessionStats {
 		Time:        s.engine.Time(),
 		Activations: s.engine.Activations(),
 		Moves:       s.engine.Moves(),
-		Balls:       s.engine.Balls(),
+		Balls:       s.engine.M(),
 	}
 	if st.Balls > 0 {
-		st.Disc = s.engine.CurrentDisc()
+		st.Disc = s.engine.Disc()
 	}
 	return st
 }
@@ -350,7 +206,7 @@ type SessionStats struct {
 func (s *Session) AddBall(bin int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if bin < 0 || bin >= s.engine.Bins() {
+	if bin < 0 || bin >= s.engine.N() {
 		return fmt.Errorf("rls: bin %d out of range", bin)
 	}
 	s.engine.AddBall(bin)
@@ -362,7 +218,7 @@ func (s *Session) AddBall(bin int) error {
 func (s *Session) AddBallRandom() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bin := s.stream.Intn(s.engine.Bins())
+	bin := s.stream.Intn(s.engine.N())
 	s.engine.AddBall(bin)
 	return bin
 }
@@ -373,10 +229,10 @@ func (s *Session) AddBallRandom() int {
 func (s *Session) RemoveBall(bin int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if bin < 0 || bin >= s.engine.Bins() {
+	if bin < 0 || bin >= s.engine.N() {
 		return fmt.Errorf("rls: bin %d out of range", bin)
 	}
-	if s.engine.BinLoad(bin) == 0 {
+	if s.engine.Load(bin) == 0 {
 		return fmt.Errorf("rls: bin %d is empty", bin)
 	}
 	s.engine.RemoveBall(bin)
@@ -389,7 +245,7 @@ func (s *Session) RemoveBall(bin int) error {
 func (s *Session) RemoveRandomBall() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.engine.Balls() == 0 {
+	if s.engine.M() == 0 {
 		return 0, fmt.Errorf("rls: no balls to remove")
 	}
 	bin := s.engine.RandomBin()
@@ -404,13 +260,13 @@ func (s *Session) RemoveRandomBall() (int, error) {
 func (s *Session) RunFor(d float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.engine.Balls() == 0 {
+	if s.engine.M() == 0 {
 		return fmt.Errorf("rls: session has no balls")
 	}
 	// The budget is relative to the running activation counter: the engine
 	// persists for the session lifetime, so an absolute cap would starve
 	// long sessions.
-	s.engine.RunUntilTime(s.engine.Time()+d, s.engine.Activations()+sim.DefaultActivationBudget)
+	s.engine.RunGoal(sim.GoalTime(s.engine.Time()+d), s.engine.Activations()+sim.DefaultActivationBudget, 0)
 	return nil
 }
 
@@ -420,7 +276,7 @@ func (s *Session) RunFor(d float64) error {
 func (s *Session) RunUntilPerfect(budget int64) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.engine.Balls() == 0 {
+	if s.engine.M() == 0 {
 		return false, fmt.Errorf("rls: session has no balls")
 	}
 	if budget <= 0 {
@@ -428,5 +284,6 @@ func (s *Session) RunUntilPerfect(budget int64) (bool, error) {
 	}
 	// Relative to the running counter, like RunFor: an absolute cap would
 	// starve sessions whose persistent engine has run long already.
-	return s.engine.RunToPerfect(s.engine.Activations() + budget), nil
+	res, _ := s.engine.RunGoal(sim.GoalPerfect(), s.engine.Activations()+budget, 0)
+	return res.Stopped, nil
 }

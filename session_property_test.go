@@ -13,7 +13,7 @@ func TestSessionChurnConservationProperty(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		r := rng.New(seed)
 		n := 2 + r.Intn(12)
-		s := NewSession(n, seed)
+		s := newTestSession(t, n, seed)
 		expected := 0
 		for op := 0; op < 60; op++ {
 			switch r.Intn(4) {
@@ -62,7 +62,7 @@ func TestSessionAlwaysRebalancesProperty(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		r := rng.New(seed)
 		n := 2 + r.Intn(8)
-		s := NewSession(n, seed)
+		s := newTestSession(t, n, seed)
 		m := n + r.Intn(5*n)
 		for i := 0; i < m; i++ {
 			s.AddBall(r.Intn(n))

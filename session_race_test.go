@@ -27,7 +27,10 @@ func TestSessionConcurrentCallers(t *testing.T) {
 				bins  = 32
 				iters = 60
 			)
-			s := rls.NewSession(bins, 11, rls.WithSessionEngineMode(mode))
+			s, err := rls.NewSession(bins, 11, rls.WithSessionEngineMode(mode))
+			if err != nil {
+				t.Fatal(err)
+			}
 			// Seed enough balls that removers rarely race the population to
 			// zero; RemoveRandomBall reports (not panics) when they do.
 			for i := 0; i < 8*bins; i++ {

@@ -96,7 +96,7 @@ func TestShardedEngineModeString(t *testing.T) {
 // TestSessionShardedMode drives the full churn surface in sharded mode:
 // joins and leaves hash into the owning shard with no rebuild.
 func TestSessionShardedMode(t *testing.T) {
-	s := NewSession(16, 42, WithSessionEngineMode(ShardedEngine), WithSessionShards(4))
+	s := newTestSession(t, 16, 42, WithSessionEngineMode(ShardedEngine), WithSessionShards(4))
 	if s.Mode() != ShardedEngine {
 		t.Fatal("mode not recorded")
 	}
@@ -152,9 +152,9 @@ func TestSessionShardedSingleShardMatchesDirect(t *testing.T) {
 			}
 		}
 	}
-	d := NewSession(12, 77)
+	d := newTestSession(t, 12, 77)
 	drive(d)
-	sh := NewSession(12, 77, WithSessionEngineMode(ShardedEngine), WithSessionShards(1))
+	sh := newTestSession(t, 12, 77, WithSessionEngineMode(ShardedEngine), WithSessionShards(1))
 	drive(sh)
 	if math.Float64bits(d.Time()) != math.Float64bits(sh.Time()) {
 		t.Errorf("time %v != %v", d.Time(), sh.Time())
