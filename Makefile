@@ -2,8 +2,12 @@
 
 .PHONY: test vet lint race bench
 
+# test mirrors the CI test job: the root module, then rlsbench — a module
+# of its own that ./... never enters, and a caller of the internal/sim
+# API, so a local run catches a break there too.
 test:
 	go build ./... && go test ./...
+	cd rlsbench && go vet ./... && go test ./...
 
 vet:
 	go vet ./...

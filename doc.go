@@ -121,11 +121,16 @@
 // holds exactly its fair share), so the byte-identical sequential
 // equivalences above are untouched.
 //
-// Time targets: DirectEngine stops at the first activation on or past
-// the target (a ~Exp(m) overshoot); the jump engine clamps its final
-// block so UntilTime runs report exactly the target time, with the
-// truncated block's null activations tallied by an exact thinned Poisson
-// draw.
+// Time targets: every engine mode reads one stop rule, and a time rule
+// carries its target. DirectEngine stops at the first activation on or
+// past it (a ~Exp(m) overshoot), and ShardedEngine with P > 1 at the
+// first barrier on or past it. The jump engine always clamps its final
+// block there, so UntilTime runs and Session.RunFor report exactly the
+// target time, with the truncated block's null activations tallied by an
+// exact thinned Poisson draw; only the activation budget can overshoot,
+// by up to one block. A time target or RunFor duration that is NaN,
+// infinite or negative, and an UntilBalanced(NaN) target, are errors: no
+// run reaches them.
 //
 // Choosing a mode by regime:
 //

@@ -3,22 +3,20 @@
 //
 //   - Tree, one column: the jump engine's graph move-weight indexes
 //     (internal/sim jumpgraph.go and jumpgraphhybrid.go), the Fenwick
-//     activation sampler (internal/sim sampler.go) and its snapshot
-//     codec, and the benchmark's Fenwick layer probe (rlsbench);
+//     activation sampler (internal/sim sampler.go), and the benchmark's
+//     Fenwick layer probe (rlsbench);
 //   - Tree3, three columns behind one index walk: the level index of
 //     internal/loadvec (bin count, ball weight and move weight per load
 //     level), which updates two or three adjacent leaves per level
 //     transition and follows the max load with Truncate.
 //
 // A tree's array form is a pure function of its leaf values, so
-// encode(leaves) → From(leaves) round-trips bit-exactly regardless of the
-// Add history that produced it, and the persist codec serializes leaves
-// only.
+// From(leaves) rebuilds it bit-exactly regardless of the Add history that
+// produced it; snapshots therefore store loads only and rebuild trees.
 //
 // The API is 0-based on the outside (leaf i ∈ [0, n)) and 1-based
 // internally, as usual for Fenwick trees. All operations are O(log n)
-// except From, Build3 and Leaves, which are O(n), and Truncate, which
-// is O(1).
+// except From and Build3, which are O(n), and Truncate, which is O(1).
 package fenwick
 
 // Tree holds cumulative sums over n int64 leaves.
@@ -96,17 +94,4 @@ func (t *Tree) Find(target int64) (int, int64) {
 		}
 	}
 	return pos, target // pos is the 1-based predecessor == 0-based answer
-}
-
-// Leaves returns a fresh slice of the n leaf values in O(n) by
-// unwinding the push-up of From.
-func (t *Tree) Leaves() []int64 {
-	vals := make([]int64, t.n)
-	copy(vals, t.tree[1:])
-	for i := t.n; i >= 1; i-- {
-		if j := i + i&(-i); j <= t.n {
-			vals[j-1] -= vals[i-1]
-		}
-	}
-	return vals
 }

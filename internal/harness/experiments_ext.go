@@ -46,10 +46,9 @@ func init() {
 					}
 					v := loadvec.AllInOne().Generate(n, m, r)
 					e := sim.NewEngine(v, mover, sim.NewFenwick(), r)
-					stop := func(e *sim.Engine) bool {
+					res := e.Run(sim.Until(func(sim.State) bool {
 						return hetero.IsSpeedNash(e.Cfg().Loads(), speeds)
-					}
-					res := e.Run(stop, 0)
+					}), 0)
 					return res.Time, hetero.SpeedDisc(res.Final, speeds)
 				})
 				var s stats.Summary

@@ -116,24 +116,36 @@ type scalingWorkload struct {
 	run func(engine string, p int, seed uint64)
 }
 
+// scalingEngine is what the workloads drive; *sim.Engine and
+// *sim.Sharded satisfy it.
+type scalingEngine interface {
+	Time() float64
+	AddBall(bin int)
+	RemoveBall(bin int)
+	RandomBin() int
+	Run(stop sim.Stop, maxActivations int64) sim.Result
+}
+
+// newScalingEngine is the study's one switch from engine name to engine:
+// plain RLS over v, drawing from r. epoch is the sharded engine's (0 =
+// auto); the sequential engines ignore it and p.
+func newScalingEngine(engine string, p int, epoch float64, v loadvec.Vector, r *rng.RNG) scalingEngine {
+	switch engine {
+	case "jump":
+		return sim.NewJumpEngine(v, r)
+	case "sharded":
+		return sim.NewSharded(v, p, epoch, r)
+	}
+	return sim.NewEngine(v, core.RLS{}, sim.NewBallList(), r)
+}
+
 func buildWorkloads(cfg ScalingConfig) []scalingWorkload {
 	dense := scalingWorkload{name: "dense"}
 	dense.run = func(engine string, p int, seed uint64) {
 		const horizon, epoch = 2.0, 0.125
 		r := rng.New(seed)
 		v := loadvec.OneChoice().Generate(cfg.N, cfg.N, r)
-		switch engine {
-		case "direct":
-			e := sim.NewEngine(v, core.RLS{}, sim.NewBallList(), r)
-			e.Run(sim.UntilTime(horizon), 0)
-		case "sharded":
-			s := sim.NewSharded(v, p, epoch, r)
-			s.Run(sim.ShardedUntilTime(horizon), 0)
-		case "jump":
-			e := sim.NewJumpEngine(v, r)
-			e.SetHorizon(horizon)
-			e.Run(sim.UntilTime(horizon), 0)
-		}
+		newScalingEngine(engine, p, epoch, v, r).Run(sim.UntilTime(horizon), 0)
 	}
 
 	// Endgame: smaller n — UntilPerfect's sparse tail costs many sequential
@@ -146,17 +158,7 @@ func buildWorkloads(cfg ScalingConfig) []scalingWorkload {
 	endgame.run = func(engine string, p int, seed uint64) {
 		r := rng.New(seed)
 		v := loadvec.OneChoice().Generate(en, 4*en, r)
-		switch engine {
-		case "direct":
-			e := sim.NewEngine(v, core.RLS{}, sim.NewBallList(), r)
-			e.Run(sim.UntilPerfect(), 0)
-		case "jump":
-			e := sim.NewJumpEngine(v, r)
-			e.Run(sim.UntilPerfect(), 0)
-		case "sharded":
-			s := sim.NewSharded(v, p, 0, r)
-			s.Run(sim.ShardedUntilPerfect(), 0)
-		}
+		newScalingEngine(engine, p, 0, v, r).Run(sim.UntilPerfect(), 0)
 	}
 
 	// Churnstorm: balanced start, then bursts of arrivals/departures
@@ -172,37 +174,13 @@ func buildWorkloads(cfg ScalingConfig) []scalingWorkload {
 		v := loadvec.Balanced().Generate(cn, 2*cn, r)
 		burst := cn / 4
 		churn := rng.New(seed ^ 0x9e3779b97f4a7c15)
-		switch engine {
-		case "direct", "jump":
-			var e *sim.Engine
-			if engine == "direct" {
-				e = sim.NewEngine(v, core.RLS{}, sim.NewBallList(), r)
-			} else {
-				e = sim.NewJumpEngine(v, r)
+		e := newScalingEngine(engine, p, 0, v, r)
+		for round := 0; round < rounds; round++ {
+			for i := 0; i < burst; i++ {
+				e.AddBall(churn.Intn(cn))
+				e.RemoveBall(e.RandomBin())
 			}
-			for round := 0; round < rounds; round++ {
-				for i := 0; i < burst; i++ {
-					e.AddBall(churn.Intn(cn))
-					e.RemoveBall(e.RandomBin())
-				}
-				end := e.Time() + 0.5
-				if engine == "jump" {
-					e.SetHorizon(end)
-				}
-				e.Run(sim.UntilTime(end), 0)
-				if engine == "jump" {
-					e.SetHorizon(0)
-				}
-			}
-		case "sharded":
-			s := sim.NewSharded(v, p, 0, r)
-			for round := 0; round < rounds; round++ {
-				for i := 0; i < burst; i++ {
-					s.AddBall(churn.Intn(cn))
-					s.RemoveBall(s.RandomBin())
-				}
-				s.Run(sim.ShardedUntilTime(s.Time()+0.5), 0)
-			}
+			e.Run(sim.UntilTime(e.Time()+0.5), 0)
 		}
 	}
 	return []scalingWorkload{dense, endgame, churnstorm}

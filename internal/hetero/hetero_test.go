@@ -47,7 +47,7 @@ func TestSpeedRLSReachesNash(t *testing.T) {
 	}
 	v := loadvec.AllInOne().Generate(n, 160, nil)
 	e := sim.NewEngine(v, mover, nil, rng.New(2))
-	stop := func(e *sim.Engine) bool { return IsSpeedNash(e.Cfg().Loads(), speeds) }
+	stop := sim.Until(func(sim.State) bool { return IsSpeedNash(e.Cfg().Loads(), speeds) })
 	res := e.Run(stop, 10_000_000)
 	if !res.Stopped {
 		t.Fatalf("no Nash reached; final %v", res.Final)

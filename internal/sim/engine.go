@@ -40,11 +40,11 @@ type Engine struct {
 	moves       int64
 	forced      int64
 
-	// horizon, when positive, is the continuous-time target of the current
-	// run. Only jump mode consults it: stepJump clamps the geometric block
-	// that would land past the horizon, so time-targeted jump runs stop at
-	// exactly the horizon instead of overshooting by up to a whole block
-	// (~m·n/W activations near balance). Direct mode keeps its
+	// horizon, when positive, is where jump mode clamps the geometric
+	// block that would land past it, so the run stops at exactly the
+	// horizon instead of overshooting by up to a whole block (~m·n/W
+	// activations near balance). A time rule sets it for its run;
+	// SetHorizon sets it for the rest. Direct mode keeps its
 	// per-activation granularity and ignores it.
 	horizon float64
 
@@ -115,13 +115,14 @@ func (e *Engine) ForcedMoves() int64 { return e.forced }
 // RNG returns the engine's random stream (adversaries may share it).
 func (e *Engine) RNG() *rng.RNG { return e.r }
 
-// SetHorizon declares the continuous-time target of the next run (0
-// clears it). Jump mode clamps its final geometric block there — the move
-// that would land beyond the horizon is not applied, the null activations
-// before it are tallied in one conditioned Poisson draw, and the clock
-// lands on the horizon exactly — so UntilTime runs never report a time
-// past the target. Callers driving a persistent engine (Session) must
-// clear the horizon before non-time-targeted runs.
+// SetHorizon sets a standing continuous-time horizon (0 clears it).
+// Jump mode clamps its final geometric block there — the move that would
+// land beyond the horizon is not applied, the null activations before it
+// are tallied in one conditioned Poisson draw, and the clock lands on the
+// horizon exactly. A time rule (UntilTime) makes its own target the
+// horizon for its run, so time-targeted runs never report a time past the
+// target and need no SetHorizon; the standing horizon applies to runs
+// under every other rule.
 func (e *Engine) SetHorizon(t float64) { e.horizon = t }
 
 // Step performs one activation (direct mode) or one jump-chain block
@@ -231,16 +232,47 @@ func (res Result) String() string {
 // bug or a degenerate parameterization.
 const DefaultActivationBudget = 1_000_000_000
 
-// Run advances the engine until stop returns true or maxActivations is
+// Run advances the engine until stop holds or maxActivations is
 // exhausted (pass maxActivations <= 0 for DefaultActivationBudget).
-func (e *Engine) Run(stop StopCond, maxActivations int64) Result {
+func (e *Engine) Run(stop Stop, maxActivations int64) Result {
+	res, _ := e.run(stop, maxActivations, 0)
+	return res
+}
+
+// RunTraced behaves like Run but also samples the trajectory every
+// `every` activations (and at the initial and final states). Jump-mode
+// steps advance the activation counter by whole blocks, so there a point
+// is recorded at the first step on or past each `every` boundary.
+func (e *Engine) RunTraced(stop Stop, maxActivations, every int64) (Result, []TracePoint) {
+	return e.run(stop, maxActivations, max(every, 1))
+}
+
+// run is Run (every = 0) and RunTraced. A time rule's target is the
+// horizon for this run only; any other rule runs under the horizon set
+// by SetHorizon, if any.
+func (e *Engine) run(stop Stop, maxActivations, every int64) (Result, []TracePoint) {
 	if maxActivations <= 0 {
 		maxActivations = DefaultActivationBudget
 	}
-	stopped := stop(e)
+	if stop.at > 0 {
+		defer func(h float64) { e.horizon = h }(e.horizon)
+		e.horizon = stop.at
+	}
+	tr := newTracer(every, func() TracePoint {
+		return TracePoint{
+			Time:        e.time,
+			Activations: e.activations,
+			Disc:        e.cfg.Disc(),
+			Overloaded:  e.cfg.OverloadedBalls(),
+			MinLoad:     e.cfg.Min(),
+			MaxLoad:     e.cfg.Max(),
+		}
+	})
+	stopped := stop.done(e)
 	for !stopped && e.activations < maxActivations {
 		e.Step()
-		stopped = stop(e)
+		tr.check(e.activations)
+		stopped = stop.done(e)
 	}
 	return Result{
 		Time:        e.time,
@@ -249,19 +281,7 @@ func (e *Engine) Run(stop StopCond, maxActivations int64) Result {
 		ForcedMoves: e.forced,
 		Stopped:     stopped,
 		Final:       e.cfg.Snapshot(),
-	}
-}
-
-// RunGoal is Run (every ≤ 0) or RunTraced (every > 0) toward g. The
-// horizon is g's for this run only: a time goal clamps the jump engine's
-// final block, any other goal runs unclamped.
-func (e *Engine) RunGoal(g Goal, maxActivations, every int64) (Result, []TracePoint) {
-	e.horizon = g.horizon
-	defer e.SetHorizon(0)
-	if every <= 0 {
-		return e.Run(g.engine, maxActivations), nil
-	}
-	return e.RunTraced(g.engine, maxActivations, every)
+	}, tr.finish(e.activations)
 }
 
 // Observe chains f onto PostMove: f runs after every protocol move, the
@@ -286,51 +306,38 @@ type TracePoint struct {
 	MaxLoad     int
 }
 
-// RunTraced behaves like Run but also samples the trajectory every
-// `every` activations (and at the initial and final states). Jump-mode
-// steps advance the activation counter by whole blocks, so there a point
-// is recorded at the first step on or past each `every` boundary.
-func (e *Engine) RunTraced(stop StopCond, maxActivations, every int64) (Result, []TracePoint) {
-	if every <= 0 {
-		every = 1
+// tracer samples a run's trajectory every `every` activations: at the
+// initial state, at the first check on or past each boundary, and at the
+// final state. With every ≤ 0 it records nothing.
+type tracer struct {
+	every, next int64
+	point       func() TracePoint
+	points      []TracePoint
+}
+
+func newTracer(every int64, point func() TracePoint) tracer {
+	t := tracer{every: every, point: point}
+	if every > 0 {
+		t.points = append(t.points, point())
+		t.next = t.points[0].Activations + every
 	}
-	if maxActivations <= 0 {
-		maxActivations = DefaultActivationBudget
+	return t
+}
+
+// check records a point if acts reached the next boundary.
+func (t *tracer) check(acts int64) {
+	if t.every > 0 && acts >= t.next {
+		t.points = append(t.points, t.point())
+		t.next = (acts/t.every + 1) * t.every
 	}
-	var trace []TracePoint
-	record := func() {
-		trace = append(trace, TracePoint{
-			Time:        e.time,
-			Activations: e.activations,
-			Disc:        e.cfg.Disc(),
-			Overloaded:  e.cfg.OverloadedBalls(),
-			MinLoad:     e.cfg.Min(),
-			MaxLoad:     e.cfg.Max(),
-		})
+}
+
+// finish closes the trace with the final state unless the last boundary
+// point already captured it (the activation counter only moves in a
+// step, so equal counters mean an identical state — no duplicate point).
+func (t *tracer) finish(acts int64) []TracePoint {
+	if t.every > 0 && t.points[len(t.points)-1].Activations != acts {
+		t.points = append(t.points, t.point())
 	}
-	record()
-	nextRecord := e.activations + every
-	stopped := stop(e)
-	for !stopped && e.activations < maxActivations {
-		e.Step()
-		if e.activations >= nextRecord {
-			record()
-			nextRecord = (e.activations/every + 1) * every
-		}
-		stopped = stop(e)
-	}
-	// Close the trace with the final state unless the last boundary point
-	// already captured it (the activation counter only moves in Step, so
-	// equal counters mean an identical state — no duplicate point).
-	if trace[len(trace)-1].Activations != e.activations {
-		record()
-	}
-	return Result{
-		Time:        e.time,
-		Activations: e.activations,
-		Moves:       e.moves,
-		ForcedMoves: e.forced,
-		Stopped:     stopped,
-		Final:       e.cfg.Snapshot(),
-	}, trace
+	return t.points
 }

@@ -25,11 +25,12 @@ import (
 //
 // The induced law on (time, activations, configuration) at every *move*
 // is identical to the direct engine's; only the per-activation trajectory
-// between moves is not materialized. Stop conditions that depend solely
-// on the configuration (UntilPerfect, UntilBalanced) therefore see
-// exactly the same balancing-time distribution — experiment A4 KS-tests
-// this — while time- or activation-count conditions are checked at move
-// granularity and may overshoot by one block.
+// between moves is not materialized. Stop rules that depend solely on the
+// configuration (UntilPerfect, UntilBalanced) therefore see exactly the
+// same balancing-time distribution — experiment A4 KS-tests this. A time
+// rule always clamps the final block at its target (stepJump), so only
+// activation-count rules, checked at move granularity, can overshoot by
+// one block.
 //
 // Cost: O(log Δ) per move, Δ the current max load (the level index's
 // range follows it down), instead of O(1) per activation — near balance,
@@ -77,8 +78,8 @@ func (e *Engine) Jump() bool { return e.jump }
 // graph) it falls back to a single null activation so time-targeted runs
 // still advance.
 //
-// With a horizon set (SetHorizon), a block whose closing move would land
-// beyond it is truncated exactly: the number of activations in the
+// With a horizon set (a time rule's target, or SetHorizon), a block whose
+// closing move would land beyond it is truncated exactly: the number of activations in the
 // remaining window, conditioned on no move occurring there, is
 // Poisson(m·(1−p)·(T−t)) by thinning — the null stream is a Poisson
 // process of rate m·(1−p) independent of the move stream — and the clock

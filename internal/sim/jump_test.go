@@ -43,25 +43,26 @@ func TestJumpEngineEveryStepMoves(t *testing.T) {
 	}
 }
 
-// TestJumpEngineFlatAdvancesTime pins the W = 0 fallback: a flat
-// configuration has no productive move, yet time-targeted runs must not
-// spin forever.
+// TestJumpEngineFlatAdvancesTime pins the W = 0 fallback outside a time
+// rule: a flat configuration has no productive move, yet every step still
+// ticks one null activation and advances the clock, so runs under any
+// other rule do not spin forever.
 func TestJumpEngineFlatAdvancesTime(t *testing.T) {
 	e := NewJumpEngine(loadvec.Vector{2, 2, 2, 2}, rng.New(5))
-	res := e.Run(UntilTime(1.5), 0)
-	if !res.Stopped {
-		t.Fatal("did not reach the time target")
+	res := e.Run(UntilActivations(20), 0)
+	if !res.Stopped || res.Activations != 20 {
+		t.Fatalf("stopped=%v after %d activations, want 20", res.Stopped, res.Activations)
 	}
 	if res.Moves != 0 {
 		t.Fatalf("flat run made %d moves", res.Moves)
 	}
-	if res.Activations == 0 {
-		t.Fatal("no activations ticked")
+	if res.Time <= 0 {
+		t.Fatal("the clock did not advance")
 	}
 }
 
-// TestJumpEngineHorizonClampsExactly pins the time-target fix: with a
-// horizon set, the block whose move would land past it is truncated, the
+// TestJumpEngineHorizonClampsExactly pins the time-target fix: under a
+// time rule, the block whose move would land past it is truncated, the
 // clock lands bit-exactly on the horizon, and no move past the horizon is
 // applied — where the unclamped engine overshoots by up to a whole
 // geometric block (~m·n/W activations near balance).
@@ -69,7 +70,6 @@ func TestJumpEngineHorizonClampsExactly(t *testing.T) {
 	const horizon = 4.0
 	for seed := uint64(1); seed <= 20; seed++ {
 		e := NewJumpEngine(loadvec.AllInOne().Generate(16, 128, nil), rng.New(seed))
-		e.SetHorizon(horizon)
 		res := e.Run(UntilTime(horizon), 0)
 		if !res.Stopped {
 			t.Fatalf("seed %d: did not reach the horizon", seed)
@@ -91,7 +91,6 @@ func TestJumpEngineHorizonClampsExactly(t *testing.T) {
 // activations in one Poisson draw.
 func TestJumpEngineFlatHorizon(t *testing.T) {
 	e := NewJumpEngine(loadvec.Vector{3, 3, 3, 3}, rng.New(5))
-	e.SetHorizon(3)
 	res := e.Run(UntilTime(3), 0)
 	if !res.Stopped || res.Time != 3 {
 		t.Fatalf("stopped=%v time=%v, want exactly 3", res.Stopped, res.Time)
@@ -125,7 +124,6 @@ func TestJumpHorizonMatchesDirectLaw(t *testing.T) {
 
 		r2 := root.Split()
 		e := NewJumpEngine(loadvec.AllInOne().Generate(n, m, nil), r2)
-		e.SetHorizon(horizon)
 		res2 := e.Run(UntilTime(horizon), 0)
 		if res2.Time != horizon {
 			t.Fatalf("jump time %v, want exactly %v", res2.Time, horizon)

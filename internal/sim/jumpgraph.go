@@ -168,7 +168,7 @@ func (gx *graphIndex) sample(cfg *loadvec.Config, r *rng.RNG) (src, dst int) {
 // counts (graphIndex: O(Δ²+Δ·log n) per move, every event a real move)
 // or, above the auto degree threshold, the lazy bound Ŵ_G ≥ W_G of the
 // rejection-within-blocks sampler (graphHybrid: O(Δ·log n) per move,
-// expected Ŵ_G/W_G events per move). SetHorizon's thinned-Poisson clamp
+// expected Ŵ_G/W_G events per move). A time rule's thinned-Poisson clamp
 // conditions on the same w, so time-targeted runs stay exact in both.
 //
 // This constructor is NewGraphJumpEngineMode with GraphSamplerAuto: ring,

@@ -206,7 +206,6 @@ func TestGraphJumpHorizonClamp(t *testing.T) {
 	v[0] = 64
 	e := NewGraphJumpEngine(v, graphs.Ring{Vertices: 16}, rng.New(4))
 	const h = 0.75
-	e.SetHorizon(h)
 	res := e.Run(UntilTime(h), 0)
 	if res.Time != h {
 		t.Fatalf("stopped at t=%g, want exactly %g", res.Time, h)

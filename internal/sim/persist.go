@@ -3,14 +3,13 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/fenwick"
 	"repro/internal/loadvec"
 	"repro/internal/persist"
 	"repro/internal/rng"
 )
 
-// This file is sim's half of the snapshot codec: the ball-list and
-// Fenwick activation samplers, the sequential Engine (all four protocol
+// This file is sim's half of the snapshot codec: the ball-list
+// activation sampler, the sequential Engine (all four protocol
 // shapes: direct, jump, strict jump, graph jump), and the Sharded engine
 // with its repartition policy state.
 //
@@ -25,11 +24,12 @@ import (
 
 // Sampler type tags, written ahead of the sampler payload so a decode
 // into an engine of the wrong shape fails loudly instead of misreading.
-// No Session holds an event-heap engine, so that sampler has no codec.
+// Only Sessions snapshot, and a Session holds neither a Fenwick nor an
+// event-heap engine, so those samplers have no codec; tag 2 stays
+// reserved for the Fenwick sampler.
 const (
 	samplerNone = iota
 	samplerBallList
-	samplerFenwick
 )
 
 // Graph-sampler type tags (graph jump engines only), written ahead of
@@ -106,35 +106,6 @@ func (b *BallList) decodeState(d *persist.Dec, cfg *loadvec.Config) error {
 	return nil
 }
 
-// encodeState writes the tree's leaves; a Fenwick array is a pure
-// function of them, so From(leaves) round-trips bit-exactly.
-func (f *Fenwick) encodeState(e *persist.Enc) {
-	e.Int(f.n)
-	e.Int(f.m)
-	e.I64s(f.t.Leaves())
-}
-
-func (f *Fenwick) decodeState(d *persist.Dec, cfg *loadvec.Config) error {
-	n := d.Int()
-	m := d.Int()
-	leaves := d.I64s()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != cfg.N() || m != cfg.M() || len(leaves) != n {
-		return persist.Corruptf("fenwick sampler shape %d/%d against config %d/%d", n, len(leaves), cfg.N(), cfg.M())
-	}
-	for i, v := range leaves {
-		if v != int64(cfg.Load(i)) {
-			return persist.Corruptf("fenwick sampler load %d at bin %d, config has %d", v, i, cfg.Load(i))
-		}
-	}
-	f.n = n
-	f.m = m
-	f.t = fenwick.From(leaves)
-	return nil
-}
-
 // EncodeState appends the engine's full state: configuration (+ level
 // index), sampler, RNG words, clocks, and counters. The mover, graph
 // topology, and PostMove hook are shape, not state — the decoder's
@@ -146,9 +117,6 @@ func (e *Engine) EncodeState(enc *persist.Enc) {
 		enc.Int(samplerNone)
 	case *BallList:
 		enc.Int(samplerBallList)
-		s.encodeState(enc)
-	case *Fenwick:
-		enc.Int(samplerFenwick)
 		s.encodeState(enc)
 	default:
 		panic(fmt.Sprintf("sim: sampler %s has no snapshot codec", e.sampler.Name()))
@@ -199,13 +167,6 @@ func (e *Engine) DecodeState(d *persist.Dec) error {
 	case *BallList:
 		if tag != samplerBallList {
 			return persist.Corruptf("snapshot sampler tag %d, engine wants ball-list", tag)
-		}
-		if err := s.decodeState(d, cfg); err != nil {
-			return err
-		}
-	case *Fenwick:
-		if tag != samplerFenwick {
-			return persist.Corruptf("snapshot sampler tag %d, engine wants fenwick", tag)
 		}
 		if err := s.decodeState(d, cfg); err != nil {
 			return err

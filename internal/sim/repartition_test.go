@@ -83,7 +83,7 @@ func TestRepartitionPropertyPlain(t *testing.T) {
 			}
 		}
 		end := s.Time() + 0.2
-		s.Run(ShardedUntilTime(end), 0)
+		s.Run(UntilTime(end), 0)
 	}
 	if barriers < 50 {
 		t.Fatalf("only %d barriers checked", barriers)
@@ -104,8 +104,8 @@ func TestRepartitionDeterministic(t *testing.T) {
 		return NewSharded(skewedVector(64, 600, 8, r), 4, 0.02, r)
 	}
 	a, b := mk(), mk()
-	ra := a.Run(ShardedUntilPerfect(), 20_000_000)
-	rb := b.Run(ShardedUntilPerfect(), 20_000_000)
+	ra := a.Run(UntilPerfect(), 20_000_000)
+	rb := b.Run(UntilPerfect(), 20_000_000)
 	if ra.Time != rb.Time || ra.Activations != rb.Activations || ra.Moves != rb.Moves {
 		t.Fatalf("runs diverged: %+v vs %+v", ra, rb)
 	}
@@ -134,7 +134,7 @@ func TestRepartitionDisabled(t *testing.T) {
 	r := rng.New(13)
 	s := NewSharded(skewedVector(48, 400, 6, r), 4, 0, r)
 	s.SetRepartition(false)
-	s.Run(ShardedUntilPerfect(), 20_000_000)
+	s.Run(UntilPerfect(), 20_000_000)
 	if s.Repartitions() != 0 {
 		t.Fatalf("disabled policy repartitioned %d times", s.Repartitions())
 	}
@@ -159,11 +159,11 @@ func TestShardedEpochSteadyStateAllocFree(t *testing.T) {
 	r := rng.New(3)
 	s := NewSharded(loadvec.OneChoice().Generate(256, 4096, r), 4, 0.01, r)
 	s.SetRepartition(false)
-	s.Run(ShardedUntilTime(0.5), 0) // warmup: grow outboxes
+	s.Run(UntilTime(0.5), 0) // warmup: grow outboxes
 	start := s.Time()
 	allocs := testing.AllocsPerRun(1, func() {
 		end := s.Time() + 2.0
-		s.Run(ShardedUntilTime(end), 0)
+		s.Run(UntilTime(end), 0)
 	})
 	epochs := (s.Time() - start) / s.dt
 	// Fixed per-Run setup (pool, channels, Result/Snapshot) is ~20
@@ -185,7 +185,7 @@ func BenchmarkShardedEpochSteadyState(b *testing.B) {
 		r := rng.New(3)
 		s := NewSharded(loadvec.OneChoice().Generate(256, 4096, r), 4, 0.01, r)
 		s.SetRepartition(false)
-		s.Run(ShardedUntilTime(0.5), 0) // warmup: scratch grown
+		s.Run(UntilTime(0.5), 0) // warmup: scratch grown
 		s.startWorkers()
 		defer s.stopWorkers()
 		b.ReportAllocs()

@@ -175,25 +175,6 @@ type handoff struct {
 	srcGlobal, dstLocal, srcLoad int32
 }
 
-// ShardedStop is a stop condition over the sharded engine's folded global
-// state, evaluated at epoch barriers (every activation when P = 1).
-type ShardedStop func(*Sharded) bool
-
-// ShardedUntilPerfect stops at global perfect balance (disc < 1).
-func ShardedUntilPerfect() ShardedStop {
-	return func(s *Sharded) bool { return s.IsPerfect() }
-}
-
-// ShardedUntilBalanced stops once the global configuration is x-balanced.
-func ShardedUntilBalanced(x float64) ShardedStop {
-	return func(s *Sharded) bool { return s.Disc() <= x }
-}
-
-// ShardedUntilTime stops once continuous time reaches t.
-func ShardedUntilTime(t float64) ShardedStop {
-	return func(s *Sharded) bool { return s.Time() >= t }
-}
-
 // DefaultShards is the shard count used when a caller passes 0: a small
 // constant rather than GOMAXPROCS so that fixed-seed runs reproduce across
 // machines.
@@ -423,12 +404,12 @@ func (s *Sharded) refold() {
 	s.stats = loadvec.FoldStats(s.cfgs...)
 }
 
-// Run advances the engine until stop returns true or maxActivations is
+// Run advances the engine until stop holds or maxActivations is
 // exhausted (pass maxActivations <= 0 for DefaultActivationBudget). With
 // P > 1 both are checked at epoch barriers, so the run may overshoot by
-// up to one epoch.
-func (s *Sharded) Run(stop ShardedStop, maxActivations int64) Result {
-	res, _ := s.run(stop, maxActivations, 0, false)
+// up to one epoch, time rules included.
+func (s *Sharded) Run(stop Stop, maxActivations int64) Result {
+	res, _ := s.run(stop, maxActivations, 0)
 	return res
 }
 
@@ -436,17 +417,8 @@ func (s *Sharded) Run(stop ShardedStop, maxActivations int64) Result {
 // `every` activations, at barrier granularity for P > 1 (a point is
 // recorded at the first barrier on or past each boundary) and at
 // activation granularity for P = 1 — mirroring Engine.RunTraced.
-func (s *Sharded) RunTraced(stop ShardedStop, maxActivations, every int64) (Result, []TracePoint) {
-	if every <= 0 {
-		every = 1
-	}
-	return s.run(stop, maxActivations, every, true)
-}
-
-// RunGoal is Run (every ≤ 0) or RunTraced (every > 0) toward g,
-// mirroring Engine.RunGoal.
-func (s *Sharded) RunGoal(g Goal, maxActivations, every int64) (Result, []TracePoint) {
-	return s.run(g.sharded, maxActivations, every, every > 0)
+func (s *Sharded) RunTraced(stop Stop, maxActivations, every int64) (Result, []TracePoint) {
+	return s.run(stop, maxActivations, max(every, 1))
 }
 
 // Observe chains f onto PostCheck: f runs at every stop check — each
@@ -461,7 +433,7 @@ func (s *Sharded) Observe(f func()) {
 	}
 }
 
-func (s *Sharded) run(stop ShardedStop, maxActivations, every int64, traced bool) (Result, []TracePoint) {
+func (s *Sharded) run(stop Stop, maxActivations, every int64) (Result, []TracePoint) {
 	if maxActivations <= 0 {
 		maxActivations = DefaultActivationBudget
 	}
@@ -470,35 +442,24 @@ func (s *Sharded) run(stop ShardedStop, maxActivations, every int64, traced bool
 		s.startWorkers()
 		defer s.stopWorkers()
 	}
-
-	var trace []TracePoint
-	var nextRecord int64
-	record := func() {
+	tr := newTracer(every, func() TracePoint {
 		st := s.Stats()
-		trace = append(trace, TracePoint{
+		return TracePoint{
 			Time:        s.Time(),
 			Activations: s.Activations(),
 			Disc:        st.Disc(),
 			MinLoad:     st.Min,
 			MaxLoad:     st.Max,
-		})
-	}
-	check := func() bool {
-		if traced && s.Activations() >= nextRecord {
-			record()
-			nextRecord = (s.Activations()/every + 1) * every
 		}
+	})
+	check := func() bool {
+		tr.check(s.Activations())
 		if s.PostCheck != nil {
 			s.PostCheck(s)
 		}
-		return stop(s)
+		return stop.done(s)
 	}
-	if traced {
-		record()
-		nextRecord = s.Activations() + every
-	}
-
-	stopped := stop(s)
+	stopped := stop.done(s)
 	for !stopped && s.Activations() < maxActivations {
 		if s.p == 1 {
 			stopped = s.runEpochSingle(maxActivations, check)
@@ -507,16 +468,13 @@ func (s *Sharded) run(stop ShardedStop, maxActivations, every int64, traced bool
 			stopped = check()
 		}
 	}
-	if traced && trace[len(trace)-1].Activations != s.Activations() {
-		record()
-	}
 	return Result{
 		Time:        s.Time(),
 		Activations: s.Activations(),
 		Moves:       s.Moves(),
 		Stopped:     stopped,
 		Final:       s.Snapshot(),
-	}, trace
+	}, tr.finish(s.Activations())
 }
 
 // sizeEpoch resolves the epoch length for this Run (auto mode reads the

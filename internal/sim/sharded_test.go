@@ -16,7 +16,7 @@ func shardedFrom(n, m, p int, epoch float64, seed uint64) *Sharded {
 func TestShardedBalances(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 7} {
 		s := shardedFrom(64, 512, p, 0, 9)
-		res := s.Run(ShardedUntilPerfect(), 50_000_000)
+		res := s.Run(UntilPerfect(), 50_000_000)
 		if !res.Stopped {
 			t.Fatalf("P=%d did not balance", p)
 		}
@@ -38,7 +38,7 @@ func TestShardedBalances(t *testing.T) {
 func TestShardedDeterministic(t *testing.T) {
 	run := func() Result {
 		s := shardedFrom(48, 480, 4, 0.05, 1234)
-		return s.Run(ShardedUntilPerfect(), 50_000_000)
+		return s.Run(UntilPerfect(), 50_000_000)
 	}
 	a, b := run(), run()
 	if a.Time != b.Time || a.Activations != b.Activations || a.Moves != b.Moves {
@@ -53,7 +53,7 @@ func TestShardedDeterministic(t *testing.T) {
 
 func TestShardedFoldedStatsMatchGlobal(t *testing.T) {
 	s := shardedFrom(40, 400, 5, 0, 3)
-	s.Run(ShardedUntilBalanced(2), 10_000_000)
+	s.Run(UntilBalanced(2), 10_000_000)
 	g := s.GlobalConfig()
 	st := s.Stats()
 	if st.Min != g.Min() || st.Max != g.Max() || st.M != g.M() || st.N != g.N() {
@@ -67,7 +67,7 @@ func TestShardedCrossMovesFlow(t *testing.T) {
 	r := rng.New(21)
 	v := loadvec.AllInOne().Generate(32, 320, r)
 	s := NewSharded(v, 4, 0.02, r)
-	res := s.Run(ShardedUntilPerfect(), 50_000_000)
+	res := s.Run(UntilPerfect(), 50_000_000)
 	if !res.Stopped {
 		t.Fatal("did not balance")
 	}
@@ -92,7 +92,7 @@ func TestShardedChurn(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res := s.Run(ShardedUntilPerfect(), 50_000_000)
+	res := s.Run(UntilPerfect(), 50_000_000)
 	if !res.Stopped || res.Final.Balls() != 120 {
 		t.Fatalf("rebalance after churn: %+v", res)
 	}
@@ -100,7 +100,7 @@ func TestShardedChurn(t *testing.T) {
 
 func TestShardedTimeTarget(t *testing.T) {
 	s := shardedFrom(16, 160, 4, 0, 5)
-	res := s.Run(ShardedUntilTime(3.0), 0)
+	res := s.Run(UntilTime(3.0), 0)
 	if !res.Stopped || res.Time < 3.0 {
 		t.Fatalf("time target: %+v", res)
 	}
@@ -112,7 +112,7 @@ func TestShardedTimeTarget(t *testing.T) {
 
 func TestShardedTraced(t *testing.T) {
 	s := shardedFrom(16, 128, 2, 0, 19)
-	res, trace := s.RunTraced(ShardedUntilPerfect(), 10_000_000, 50)
+	res, trace := s.RunTraced(UntilPerfect(), 10_000_000, 50)
 	if !res.Stopped {
 		t.Fatal("did not balance")
 	}
@@ -146,7 +146,7 @@ func TestShardedMonotoneExtremes(t *testing.T) {
 		}
 		prevMin, prevMax = s.Min(), s.Max()
 	}
-	s.Run(ShardedUntilPerfect(), 50_000_000)
+	s.Run(UntilPerfect(), 50_000_000)
 	if violations != 0 {
 		t.Fatalf("%d extreme-load monotonicity violations", violations)
 	}
@@ -163,7 +163,7 @@ func TestShardedImbalancedStartKeepsShardClocksInSync(t *testing.T) {
 	v := loadvec.AllInOne().Generate(1024, 8192, r)
 	s := NewSharded(v, 4, 0, r)
 	const horizon = 4.0
-	res := s.Run(ShardedUntilTime(horizon), 0)
+	res := s.Run(UntilTime(horizon), 0)
 	for i, sh := range s.shards {
 		if sh.t < horizon {
 			t.Errorf("shard %d clock %.3f lags the stop horizon %.1f", i, sh.t, horizon)
@@ -183,7 +183,7 @@ func TestShardedShardCountClamped(t *testing.T) {
 	if s.Shards() != 3 {
 		t.Fatalf("shards = %d, want clamp to 3", s.Shards())
 	}
-	if res := s.Run(ShardedUntilPerfect(), 10_000_000); !res.Stopped {
+	if res := s.Run(UntilPerfect(), 10_000_000); !res.Stopped {
 		t.Fatal("did not balance")
 	}
 }

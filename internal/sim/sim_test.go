@@ -285,52 +285,51 @@ func TestRunTraced(t *testing.T) {
 func TestStopConds(t *testing.T) {
 	v := loadvec.Vector{10, 0}
 	e := NewEngine(v, neverMove{}, nil, rng.New(6))
-	if UntilPerfect()(e) {
+	if UntilPerfect().done(e) {
 		t.Error("UntilPerfect on disc 5")
 	}
-	if !UntilBalanced(5)(e) {
+	if !UntilBalanced(5).done(e) {
 		t.Error("UntilBalanced(5) should hold at disc 5")
 	}
-	if UntilBalanced(4.9)(e) {
+	if UntilBalanced(4.9).done(e) {
 		t.Error("UntilBalanced(4.9) should not hold at disc 5")
 	}
-	if !UntilOverloadedAtMost(5)(e) || UntilOverloadedAtMost(4.9)(e) {
-		t.Error("UntilOverloadedAtMost wrong")
-	}
-	if UntilTime(1)(e) {
+	if UntilTime(1).done(e) {
 		t.Error("UntilTime(1) at t=0")
 	}
-	if !UntilActivations(0)(e) {
+	if !UntilActivations(0).done(e) {
 		t.Error("UntilActivations(0) at start")
+	}
+	if !Until(func(s State) bool { return s.Disc() == 5 }).done(e) {
+		t.Error("Until did not pass the engine to its predicate")
+	}
+	if UntilTime(1).at != 1 || UntilPerfect().at != 0 || UntilBalanced(5).at != 0 {
+		t.Error("only a time rule carries a horizon")
 	}
 }
 
-// TestRunGoal: a Goal stops both engines where their own stop conditions
-// do, and a time goal's jump horizon lasts for that run only.
-func TestRunGoal(t *testing.T) {
+// TestStopBothEngines: one stop rule stops the direct engine and the
+// sharded engine at P = 1 at the same activation, and a time rule's jump
+// horizon lasts for that run only.
+func TestStopBothEngines(t *testing.T) {
 	v := loadvec.Vector{12, 0, 0, 4}
 	e := NewEngine(v, rlsRule{}, nil, rng.New(3))
 	s := NewSharded(v, 1, 0, rng.New(3))
-	for _, g := range []Goal{GoalTime(0.5), GoalBalanced(2), GoalPerfect()} {
-		re, _ := e.RunGoal(g, 0, 0)
-		rs, trace := s.RunGoal(g, 0, 4)
+	for _, stop := range []Stop{UntilTime(0.5), UntilBalanced(2), UntilPerfect()} {
+		re := e.Run(stop, 0)
+		rs, trace := s.RunTraced(stop, 0, 4)
 		if re.Time != rs.Time || re.Activations != rs.Activations || !re.Stopped || !rs.Stopped || len(trace) < 2 {
 			t.Fatalf("engine %v, sharded P=1 %v (%d trace points)", re, rs, len(trace))
 		}
 	}
 	j := NewJumpEngine(v, rng.New(3))
-	if res, _ := j.RunGoal(GoalTime(0.25), 0, 0); res.Time != 0.25 {
-		t.Fatalf("time goal ended at %v, want the horizon 0.25", res.Time)
+	j.horizon = 7
+	if res := j.Run(UntilTime(0.25), 0); res.Time != 0.25 {
+		t.Fatalf("time rule ended at %v, want the horizon 0.25", res.Time)
 	}
-	if j.horizon != 0 {
-		t.Fatalf("horizon %v left set after the run", j.horizon)
+	if j.horizon != 7 {
+		t.Fatalf("horizon %v after the run, want the standing 7 back", j.horizon)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("the sharded engine ran a loads goal")
-		}
-	}()
-	s.RunGoal(GoalLoads(func(loadvec.Vector) bool { return true }), 0, 0)
 }
 
 func TestRunRespectsActivationBudget(t *testing.T) {

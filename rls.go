@@ -2,6 +2,7 @@ package rls
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/hetero"
@@ -37,11 +38,12 @@ func FromLoads(loads []int) Placement {
 	return Placement{loadvec.FromVector(loadvec.Vector(loads).Clone())}
 }
 
-// Target is a stop condition for a run: one engine-neutral goal that
-// every engine mode reads in its own form.
+// Target is a stop condition for a run: one stop rule that every engine
+// mode reads.
 type Target struct {
-	goal    sim.Goal
-	perfect bool // UntilPerfect, which bin speeds turn into a Nash test
+	stop    sim.Stop
+	perfect bool  // UntilPerfect, which bin speeds turn into a Nash test
+	err     error // an invalid target, reported by Run
 	desc    string
 }
 
@@ -51,17 +53,32 @@ func (t Target) String() string { return t.desc }
 
 // UntilPerfect stops at perfect balance (disc < 1) — the paper's T.
 func UntilPerfect() Target {
-	return Target{goal: sim.GoalPerfect(), perfect: true, desc: "perfect"}
+	return Target{stop: sim.UntilPerfect(), perfect: true, desc: "perfect"}
 }
 
-// UntilBalanced stops at disc ≤ x.
+// UntilBalanced stops at disc ≤ x. Run rejects a NaN x.
 func UntilBalanced(x float64) Target {
-	return Target{goal: sim.GoalBalanced(x), desc: fmt.Sprintf("disc<=%g", x)}
+	t := Target{stop: sim.UntilBalanced(x), desc: fmt.Sprintf("disc<=%g", x)}
+	if math.IsNaN(x) {
+		t.err = fmt.Errorf("rls: balance target %g is not a number", x)
+	}
+	return t
 }
 
-// UntilTime stops at continuous time t.
+// UntilTime stops at continuous time t. Run rejects a negative or
+// non-finite t.
 func UntilTime(t float64) Target {
-	return Target{goal: sim.GoalTime(t), desc: fmt.Sprintf("t=%g", t)}
+	return Target{stop: sim.UntilTime(t), err: checkDuration("time target", t), desc: fmt.Sprintf("t=%g", t)}
+}
+
+// checkDuration rejects a simulated time that is NaN, infinite or
+// negative: a NaN or +∞ target is never reached (the jump engine cannot
+// clamp a block there), and a negative one lies before the run's start.
+func checkDuration(what string, t float64) error {
+	if math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
+		return fmt.Errorf("rls: %s %g; need a finite value ≥ 0", what, t)
+	}
+	return nil
 }
 
 // Option configures a Runner.
@@ -143,12 +160,9 @@ type Runner struct {
 	budget     int64
 }
 
-// New creates a Runner for n bins and m balls. It panics unless n ≥ 1 and
-// m ≥ 1.
+// New creates a Runner for n bins and m balls. Run and RunTraced return
+// an error unless n ≥ 1 and m ≥ 1.
 func New(n, m int, opts ...Option) *Runner {
-	if n < 1 || m < 1 {
-		panic("rls: need at least one bin and one ball")
-	}
 	r := &Runner{
 		n:         n,
 		m:         m,
@@ -206,6 +220,10 @@ func (r *Runner) validate() error {
 		return err
 	}
 	switch {
+	case r.m < 1:
+		return fmt.Errorf("rls: %d balls; need at least one", r.m)
+	case r.target.err != nil:
+		return r.target.err
 	case r.speeds != nil && r.mode == JumpEngine:
 		return fmt.Errorf("rls: the jump engine does not support bin speeds; use DirectEngine")
 	case r.speeds != nil && r.mode == ShardedEngine:
@@ -246,15 +264,11 @@ func (r *Runner) run(every int64) (Result, []TracePoint, error) {
 	if err := r.validate(); err != nil {
 		return Result{}, nil, err
 	}
-	goal := r.target.goal
 	var mover sim.Mover
 	if r.speeds != nil {
 		var err error
 		if mover, err = hetero.NewSpeedRLS(r.speeds); err != nil {
 			return Result{}, nil, err
-		}
-		if r.target.perfect {
-			goal = sim.GoalLoads(hetero.SpeedNashStop(r.speeds))
 		}
 	}
 	var sampler sim.ActivationSampler
@@ -266,8 +280,21 @@ func (r *Runner) run(every int64) (Result, []TracePoint, error) {
 	if err != nil {
 		return Result{}, nil, err
 	}
+	stop := r.target.stop
+	if r.speeds != nil && r.target.perfect {
+		// Bin speeds run on the direct engine only (validate), so the Nash
+		// test reads that engine's loads.
+		direct := e.(*sim.Engine)
+		stop = sim.Until(func(sim.State) bool { return hetero.IsSpeedNash(direct.Cfg().Loads(), r.speeds) })
+	}
 	phases := trackPhases(e, r.n)
-	res, trace := e.RunGoal(goal, r.budget, every)
+	var res sim.Result
+	var trace []sim.TracePoint
+	if every > 0 {
+		res, trace = e.RunTraced(stop, r.budget, every)
+	} else {
+		res = e.Run(stop, r.budget)
+	}
 	return Result{
 		Time:        res.Time,
 		Activations: res.Activations,

@@ -250,16 +250,69 @@ func TestHelpers(t *testing.T) {
 	}
 }
 
-func TestNewPanics(t *testing.T) {
-	for _, nm := range [][2]int{{0, 5}, {5, 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("New(%d,%d) did not panic", nm[0], nm[1])
-				}
-			}()
-			New(nm[0], nm[1])
-		}()
+// TestNewErrors: New accepts any sizes; Run and RunTraced report n < 1
+// or m < 1 as an error from the same validation as every other option.
+func TestNewErrors(t *testing.T) {
+	for _, c := range []struct {
+		n, m int
+		want string
+	}{
+		{0, 5, "rls: 0 bins; need at least one"},
+		{-3, 5, "rls: -3 bins; need at least one"},
+		{5, 0, "rls: 0 balls; need at least one"},
+		{0, 0, "rls: 0 bins; need at least one"},
+	} {
+		r := New(c.n, c.m)
+		if _, err := r.Run(); err == nil || err.Error() != c.want {
+			t.Errorf("New(%d,%d).Run() error %v, want %q", c.n, c.m, err, c.want)
+		}
+		if _, _, err := r.RunTraced(10); err == nil || err.Error() != c.want {
+			t.Errorf("New(%d,%d).RunTraced error %v, want %q", c.n, c.m, err, c.want)
+		}
+	}
+}
+
+// TestNonFiniteTargets: a time target that is NaN, infinite or negative,
+// and a NaN balance target, are errors in every engine mode. No run can
+// reach them: a NaN target ran the direct engine to its 10⁹-activation
+// budget, and an infinite one overflowed the jump engine's activation
+// counter.
+func TestNonFiniteTargets(t *testing.T) {
+	for _, mode := range []EngineMode{DirectEngine, JumpEngine, ShardedEngine} {
+		for _, tg := range []Target{
+			UntilTime(math.NaN()), UntilTime(math.Inf(1)), UntilTime(math.Inf(-1)),
+			UntilTime(-1), UntilBalanced(math.NaN()),
+		} {
+			r := New(4, 8, WithEngineMode(mode), WithTarget(tg))
+			if _, err := r.Run(); err == nil {
+				t.Errorf("%v %v: Run accepted the target", mode, tg)
+			}
+			if _, _, err := r.RunTraced(10); err == nil {
+				t.Errorf("%v %v: RunTraced accepted the target", mode, tg)
+			}
+		}
+		for _, tg := range []Target{UntilTime(0), UntilTime(2), UntilBalanced(-1), UntilBalanced(math.Inf(1))} {
+			if _, err := New(4, 8, WithEngineMode(mode), WithTarget(tg), WithActivationBudget(1000)).Run(); err != nil {
+				t.Errorf("%v %v: %v", mode, tg, err)
+			}
+		}
+	}
+	for _, mode := range []EngineMode{DirectEngine, JumpEngine, ShardedEngine} {
+		s := newTestSession(t, 4, 1, WithSessionEngineMode(mode))
+		for i := 0; i < 8; i++ {
+			s.AddBall(i % 4)
+		}
+		for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
+			if err := s.RunFor(d); err == nil {
+				t.Errorf("%v: RunFor(%v) returned nil", mode, d)
+			}
+		}
+		if s.Activations() != 0 || s.Time() != 0 {
+			t.Errorf("%v: rejected runs moved the session to t=%v after %d activations", mode, s.Time(), s.Activations())
+		}
+		if err := s.RunFor(0.5); err != nil || s.Time() < 0.5 {
+			t.Errorf("%v: RunFor(0.5) = %v, time %v", mode, err, s.Time())
+		}
 	}
 }
 

@@ -256,8 +256,11 @@ func (s *Session) RemoveRandomBall() (int, error) {
 // RunFor advances the protocol by duration d of continuous time on the
 // live engine. The session lock is held for the whole stretch: concurrent
 // churn and stats calls block until the run returns (see the Concurrency
-// section on Session).
+// section on Session). A NaN, infinite or negative d is an error.
 func (s *Session) RunFor(d float64) error {
+	if err := checkDuration("run duration", d); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.engine.M() == 0 {
@@ -266,7 +269,7 @@ func (s *Session) RunFor(d float64) error {
 	// The budget is relative to the running activation counter: the engine
 	// persists for the session lifetime, so an absolute cap would starve
 	// long sessions.
-	s.engine.RunGoal(sim.GoalTime(s.engine.Time()+d), s.engine.Activations()+sim.DefaultActivationBudget, 0)
+	s.engine.Run(sim.UntilTime(s.engine.Time()+d), s.engine.Activations()+sim.DefaultActivationBudget)
 	return nil
 }
 
@@ -284,6 +287,6 @@ func (s *Session) RunUntilPerfect(budget int64) (bool, error) {
 	}
 	// Relative to the running counter, like RunFor: an absolute cap would
 	// starve sessions whose persistent engine has run long already.
-	res, _ := s.engine.RunGoal(sim.GoalPerfect(), s.engine.Activations()+budget, 0)
+	res := s.engine.Run(sim.UntilPerfect(), s.engine.Activations()+budget)
 	return res.Stopped, nil
 }

@@ -343,7 +343,8 @@ type engine interface {
 	RemoveBall(bin int)
 	RandomBin() int
 	Observe(f func())
-	RunGoal(g sim.Goal, maxActivations, every int64) (sim.Result, []sim.TracePoint)
+	Run(stop sim.Stop, maxActivations int64) sim.Result
+	RunTraced(stop sim.Stop, maxActivations, every int64) (sim.Result, []sim.TracePoint)
 	EncodeState(enc *persist.Enc)
 	DecodeState(d *persist.Dec) error
 }
