@@ -1,6 +1,8 @@
-# Convenience entry points; CI runs the same commands.
+# Convenience entry points; CI runs the same commands. The repository
+# benchmark is rlsbench (bash rlsbench/run.sh; scripts/bench_gate.sh
+# compares a base revision with this checkout on it).
 
-.PHONY: test vet lint race bench
+.PHONY: test vet lint race
 
 # test mirrors the CI test job: the root module, then rlsbench — a module
 # of its own that ./... never enters, and a caller of the internal/sim
@@ -21,16 +23,6 @@ lint:
 # race mirrors the CI race job; the sharded engine makes it load-bearing.
 race:
 	go test -race ./...
-
-# bench records the perf trajectory tracked per PR into the next
-# BENCH_PR<k>.json (auto-numbered from the highest tracked file):
-# balancing runs, direct-vs-jump end-game — plain, strict tie rule, and
-# graph topologies — session churn, direct-vs-sharded dense regime, the
-# allocation-free epoch-loop floor, the rlsweep -scaling speedup-vs-P cells, and the rlsweep
-# -serviceload ServiceLoad* cells (multi-tenant rlsd event→apply p50/p99
-# and throughput). compare_bench.sh diffs the two latest tracked files.
-bench:
-	./scripts/bench.sh
 
 # scaling prints the speedup-vs-P table for the parallel engines on this
 # machine (see the JSON header for cores/GOMAXPROCS caveats).

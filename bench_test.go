@@ -1,17 +1,16 @@
 package rls
 
 // bench_test.go exposes every experiment registered in internal/harness
-// as a testing.B benchmark: `go test -bench=ExpT1` regenerates Theorem 1's
-// sweep, `-bench=Exp` regenerates everything. Each iteration runs the
-// full Quick-scale experiment; set RLS_BENCH_PRINT=1 to print the
-// resulting tables to stderr (cmd/rlsweep prints them with more control).
+// as a testing.B benchmark: `go test -bench Exp/T1` regenerates Theorem
+// 1's sweep, `-bench Exp` regenerates everything. Each iteration runs the
+// full Quick-scale experiment; cmd/rlsweep -exp prints the tables.
 //
 // Micro-benchmarks for the protocol itself (per-activation cost across
-// regimes) follow at the bottom.
+// regimes) follow at the bottom. They are per-layer developer tools; the
+// end-to-end record is rlsbench (rlsbench/README.md).
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/core"
@@ -21,53 +20,20 @@ import (
 	"repro/internal/sim"
 )
 
-// benchExperiment runs one registered experiment per b iteration and
+// BenchmarkExp runs each registered experiment per b iteration and
 // reports the row count so regressions in sweep coverage are visible.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := harness.Get(id)
-	if !ok {
-		b.Fatalf("experiment %s not registered", id)
+func BenchmarkExp(b *testing.B) {
+	for _, id := range harness.IDs() {
+		e, _ := harness.Get(id)
+		b.Run(id, func(b *testing.B) {
+			var rows int
+			for i := 0; i < b.N; i++ {
+				rows = len(e.Run(harness.RunConfig{Seed: uint64(i) + 1, Scale: harness.Quick}).Rows)
+			}
+			b.ReportMetric(float64(rows), "rows")
+		})
 	}
-	var rows int
-	for i := 0; i < b.N; i++ {
-		tb := e.Run(harness.RunConfig{Seed: uint64(i) + 1, Scale: harness.Quick})
-		rows = len(tb.Rows)
-		if i == 0 && os.Getenv("RLS_BENCH_PRINT") != "" {
-			tb.Render(os.Stderr)
-		}
-	}
-	b.ReportMetric(float64(rows), "rows")
 }
-
-func BenchmarkExpF1(b *testing.B)   { benchExperiment(b, "F1") }
-func BenchmarkExpF2(b *testing.B)   { benchExperiment(b, "F2") }
-func BenchmarkExpF3(b *testing.B)   { benchExperiment(b, "F3") }
-func BenchmarkExpT1(b *testing.B)   { benchExperiment(b, "T1") }
-func BenchmarkExpT2(b *testing.B)   { benchExperiment(b, "T2") }
-func BenchmarkExpLB1(b *testing.B)  { benchExperiment(b, "LB1") }
-func BenchmarkExpLB2(b *testing.B)  { benchExperiment(b, "LB2") }
-func BenchmarkExpDML(b *testing.B)  { benchExperiment(b, "DML") }
-func BenchmarkExpP1(b *testing.B)   { benchExperiment(b, "P1") }
-func BenchmarkExpP2(b *testing.B)   { benchExperiment(b, "P2") }
-func BenchmarkExpP3(b *testing.B)   { benchExperiment(b, "P3") }
-func BenchmarkExpL8(b *testing.B)   { benchExperiment(b, "L8") }
-func BenchmarkExpL9(b *testing.B)   { benchExperiment(b, "L9") }
-func BenchmarkExpL16(b *testing.B)  { benchExperiment(b, "L16") }
-func BenchmarkExpCMP1(b *testing.B) { benchExperiment(b, "CMP1") }
-func BenchmarkExpCMP2(b *testing.B) { benchExperiment(b, "CMP2") }
-func BenchmarkExpCMP3(b *testing.B) { benchExperiment(b, "CMP3") }
-func BenchmarkExpX1(b *testing.B)   { benchExperiment(b, "X1") }
-func BenchmarkExpX2(b *testing.B)   { benchExperiment(b, "X2") }
-func BenchmarkExpX3(b *testing.B)   { benchExperiment(b, "X3") }
-func BenchmarkExpA1(b *testing.B)   { benchExperiment(b, "A1") }
-func BenchmarkExpA2(b *testing.B)   { benchExperiment(b, "A2") }
-func BenchmarkExpA3(b *testing.B)   { benchExperiment(b, "A3") }
-func BenchmarkExpA4(b *testing.B)   { benchExperiment(b, "A4") }
-func BenchmarkExpA5(b *testing.B)   { benchExperiment(b, "A5") }
-func BenchmarkExpA7(b *testing.B)   { benchExperiment(b, "A7") }
-func BenchmarkExpA8(b *testing.B)   { benchExperiment(b, "A8") }
-func BenchmarkExpO1(b *testing.B)   { benchExperiment(b, "O1") }
 
 // BenchmarkBalanceToPerfection measures whole-run cost of the public API
 // across (n, m) regimes; the per-activation metric is the engine's
@@ -101,10 +67,9 @@ func BenchmarkBalanceToPerfection(b *testing.B) {
 }
 
 // BenchmarkEndGame measures whole UntilPerfect runs at n = m from the
-// all-in-one start — the regime the ISSUE's jump engine targets: the
+// all-in-one start — the regime the jump engine targets: the
 // direct engine spends ~m·n/W activations per move near balance, the
-// jump engine exactly one Step. The jump/direct wall-clock ratio is the
-// headline speedup tracked in BENCH_PR2.json.
+// jump engine exactly one Step.
 func BenchmarkEndGame(b *testing.B) {
 	for _, n := range []int{1024, 4096} {
 		for _, mode := range []EngineMode{DirectEngine, JumpEngine} {
@@ -133,8 +98,7 @@ func BenchmarkEndGame(b *testing.B) {
 // strict-direct vs strict-jump. The strict rule rejects neutral moves on
 // top of uphill ones, so the direct engine wastes even more activations
 // per move than plain RLS in the end-game; the jump engine simulates the
-// same chain in O(moves) regardless. The jump/direct wall-clock ratio is
-// a PR 6 headline number tracked in BENCH_PR6.json.
+// same chain in O(moves) regardless.
 func BenchmarkStrictEndGame(b *testing.B) {
 	const n = 4096
 	for _, mode := range []EngineMode{DirectEngine, JumpEngine} {
@@ -164,8 +128,7 @@ func BenchmarkStrictEndGame(b *testing.B) {
 // below average the direct engine burns ~Δ·n/W_G ≈ n activations per
 // move while the jump engine pays O(Δ² + Δ·log n) — this is the regime
 // where graph runs used to fall back to the direct engine and end-games
-// dominated wall-clock. The jump/direct wall-clock ratio per topology is
-// a PR 6 headline number tracked in BENCH_PR6.json.
+// dominated wall-clock.
 func BenchmarkGraphEndGame(b *testing.B) {
 	const n = 4096
 	// One ball high at bin 0, one hole at a fixed graph distance: ring
@@ -225,9 +188,8 @@ func BenchmarkGraphEndGame(b *testing.B) {
 // diffusing to one hole. Per move the direct engine burns ~m·Δ/W_G
 // activations, the exact index pays O(Δ² + Δ·log n) bookkeeping, and the
 // rejection hybrid O(Δ·log n) with an O(1) expected retry factor once
-// its lazy bounds tighten — so the ordering direct ≪ jump-exact <
-// jump-hybrid is the PR 10 headline tracked in BENCH_PR10.json, and CI
-// gates hybrid ≥ 5× direct via scripts/check_graphdense.sh.
+// its lazy bounds tighten — so direct ≪ jump-exact < jump-hybrid, and
+// CI gates hybrid ≥ 5× direct via scripts/check_graphdense.sh.
 func BenchmarkGraphDense(b *testing.B) {
 	// 64 excess/hole pairs instead of one: the run length is a sum of ~64
 	// annihilation walks, concentrated enough for a single-iteration CI
@@ -270,50 +232,6 @@ func BenchmarkGraphDense(b *testing.B) {
 				}
 				if !res.Reached {
 					b.Fatal("did not balance")
-				}
-				totalActs += res.Activations
-				totalMoves += res.Moves
-			}
-			b.ReportMetric(float64(totalActs)/float64(b.N), "activations/run")
-			b.ReportMetric(float64(totalMoves)/float64(b.N), "moves/run")
-		})
-	}
-}
-
-// BenchmarkShardedDense measures the dense regime (every bin busy, a
-// large share of activations productive) the sharded engine targets:
-// n = m = 1<<16 from a one-choice start over a fixed horizon of protocol
-// time, direct vs sharded with P = 4 workers. The sharded/direct
-// wall-clock ratio is the headline speedup tracked in BENCH_PR3.json —
-// it needs ≥ P hardware threads to materialize (the JSON records
-// GOMAXPROCS alongside the numbers). The coarse explicit epoch amortizes
-// the barrier; the A5 experiment covers the law-fidelity end with fine
-// epochs.
-func BenchmarkShardedDense(b *testing.B) {
-	const n, m = 1 << 16, 1 << 16
-	const horizon = 8.0
-	configs := []struct {
-		name string
-		opts []Option
-	}{
-		{"direct", nil},
-		{"sharded-P4", []Option{WithEngineMode(ShardedEngine), WithShards(4), WithShardEpoch(0.125)}},
-	}
-	for _, c := range configs {
-		b.Run(c.name, func(b *testing.B) {
-			var totalActs, totalMoves int64
-			for i := 0; i < b.N; i++ {
-				opts := append([]Option{
-					WithSeed(uint64(i) + 1),
-					WithPlacement(Random()),
-					WithTarget(UntilTime(horizon)),
-				}, c.opts...)
-				res, err := New(n, m, opts...).Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Reached {
-					b.Fatal("did not reach the time horizon")
 				}
 				totalActs += res.Activations
 				totalMoves += res.Moves
@@ -411,27 +329,4 @@ func BenchmarkExpectedBalanceTimePredictors(b *testing.B) {
 		sink += ExpectedBalanceTime(n, 4*n) + WHPBalanceTime(n, 4*n) + HarmonicLowerBound(n, 4*n)
 	}
 	_ = sink
-}
-
-// TestBenchmarkIDsMatchRegistry pins the Benchmark list to the registry:
-// adding an experiment without a bench (or vice versa) fails here.
-func TestBenchmarkIDsMatchRegistry(t *testing.T) {
-	want := map[string]bool{}
-	for _, id := range harness.IDs() {
-		want[id] = true
-	}
-	// The list above, kept in sync by hand.
-	have := []string{
-		"F1", "F2", "F3", "T1", "T2", "LB1", "LB2", "DML",
-		"P1", "P2", "P3", "L8", "L9", "L16", "CMP1", "CMP2", "CMP3",
-		"X1", "X2", "X3", "A1", "A2", "A3", "A4", "A5", "A7", "A8", "O1",
-	}
-	if len(have) != len(want) {
-		t.Fatalf("bench list has %d, registry %d", len(have), len(want))
-	}
-	for _, id := range have {
-		if !want[id] {
-			t.Errorf("bench for unknown experiment %s", id)
-		}
-	}
 }

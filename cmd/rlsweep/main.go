@@ -37,7 +37,7 @@ func main() {
 		scalingN    = flag.Int("scalingn", 0, "scaling: dense workload size (bins = balls; 0 = default 1<<15)")
 		scalingReps = flag.Int("scalingreps", 0, "scaling: timing repetitions per cell (0 = default 3)")
 		scalingMaxP = flag.Int("scalingmaxp", 0, "scaling: largest shard count swept (0 = GOMAXPROCS)")
-		scalingJSON = flag.String("scalingjson", "", "scaling: also write the cells as a BENCH-style json array")
+		scalingJSON = flag.String("scalingjson", "", "scaling: also write the cells as a json array (scripts/check_scaling.sh reads it)")
 
 		svcLoad    = flag.Bool("serviceload", false, "run the multi-tenant service load study instead of experiments")
 		slSessions = flag.Int("slsessions", 0, "serviceload: concurrent tenant sessions (0 = default 64)")
@@ -45,7 +45,7 @@ func main() {
 		slDuration = flag.Float64("slduration", 0, "serviceload: generator duration in seconds (0 = default 2)")
 		slBins     = flag.Int("slbins", 0, "serviceload: bins per session (0 = default 64)")
 		slBatch    = flag.Int("slbatch", 0, "serviceload: events per POST batch (0 = default 11)")
-		slJSON     = flag.String("sljson", "", "serviceload: also write the cells as a BENCH-style json array")
+		slJSON     = flag.String("sljson", "", "serviceload: also write the cells as a json array (scripts/check_service.sh reads it)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
@@ -173,11 +173,11 @@ func main() {
 	}
 }
 
-// writeScalingJSON emits the scaling cells in the BENCH_PR*.json shape —
-// a flat array opening with a header object — so the bench scripts can
-// merge and diff them like any other benchmark entries. NumCPU and
-// GOMAXPROCS are recorded in the header: speedup curves are meaningless
-// without knowing the hardware parallelism they ran on.
+// writeScalingJSON emits the scaling cells as a flat array opening with
+// a header object, one {"name", "ns_per_op", "speedup"} entry per cell,
+// the shape scripts/check_scaling.sh reads. NumCPU and GOMAXPROCS are
+// recorded in the header: speedup curves are meaningless without
+// knowing the hardware parallelism they ran on.
 func writeScalingJSON(path string, points []harness.ScalingPoint) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -193,10 +193,11 @@ func writeScalingJSON(path string, points []harness.ScalingPoint) error {
 	return f.Close()
 }
 
-// writeServiceLoadJSON emits the service load cells in the BENCH_PR*.json
-// shape. The header records the study's size so a p99 cell is never read
-// without knowing the offered load behind it; the throughput cell carries
-// the combined error count the zero-loss gate checks.
+// writeServiceLoadJSON emits the service load cells in the same shape,
+// the one scripts/check_service.sh reads. The header records the study's
+// size so a p99 cell is never read without knowing the offered load
+// behind it; the throughput cell carries the combined error count the
+// zero-loss gate checks.
 func writeServiceLoadJSON(path string, res serviceload.Result, cfg serviceload.Config) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -84,7 +84,7 @@
 // moves — balancing times, phase-crossing times, move counts, final
 // configurations, and the activation counter (experiments A4/A7/A8
 // KS-test the balancing-time distributions for the plain, strict, and
-// graph variants; run `go test -bench ExpA4`). They are not
+// graph variants; run `go test -bench Exp/A4`). They are not
 // byte-identical streams: the jump engine draws different random numbers.
 // The only observable difference is granularity between moves: direct
 // runs can trace or stop at any activation, jump runs only at moves, so
@@ -136,7 +136,8 @@
 //
 //   - dense (m ≫ n, many productive moves): ShardedEngine — per-move
 //     work dominates and parallelizes across P workers (≥ P hardware
-//     threads needed; BenchmarkShardedDense tracks the speedup).
+//     threads needed; rlsbench's dense workload measures the speedup as
+//     sim.sharded.speedup_vs_direct).
 //   - sparse/end-game (m ≈ n, mostly null activations): JumpEngine —
 //     nothing to parallelize, everything to skip. This now includes
 //     strict-tie and graph end-games on every supported topology,
@@ -200,9 +201,11 @@
 // the benchmarks in bench_test.go (`go run ./cmd/rlsweep -list`
 // enumerates it; cmd/README.md documents the tools). README.md is the
 // project front door — quickstart, the engine modes, the examples
-// tour, and the benchmark methodology. `make bench` records the tracked
-// perf trajectory into the next BENCH_PR*.json, including the `rlsweep
-// -scaling` speedup-vs-P study (`make scaling` prints it standalone);
-// shard ratios need as many hardware threads as shards, and the JSON
-// headers record the machine's core count and GOMAXPROCS.
+// tour, and the benchmark methodology. The performance record is the
+// rlsbench module (rlsbench/README.md): work-normalised end-to-end
+// medians with bounds in BENCHMARK.json, which scripts/bench_gate.sh
+// checks base against head. The go-test benchmarks are per-layer
+// developer tools. `make scaling` prints the `rlsweep -scaling`
+// speedup-vs-P study; shard ratios need as many hardware threads as
+// shards.
 package rls

@@ -45,8 +45,8 @@ func levelBenchState(phase string, gap int) *Config {
 }
 
 // levelBenchBatch is the number of operations per benchmark iteration,
-// so that scripts/bench.sh's few iterations still time many operations;
-// ns/op is reported per operation.
+// so that a run of a few iterations (CI's -benchtime 1x smoke) still
+// times many operations; ns/op is reported per operation.
 const levelBenchBatch = 1 << 15
 
 // BenchmarkLevelIndex times the level index's two per-move operations

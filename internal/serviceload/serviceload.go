@@ -86,9 +86,9 @@ type Result struct {
 	P50, P99   time.Duration // event→apply latency from /metrics
 }
 
-// Points returns the result as BENCH-style cells. Names are stable
-// regardless of the study's size parameters so check_bench_names.sh can
-// track them across PRs.
+// Points returns the result as named cells. Names are stable regardless
+// of the study's size parameters, so check_service.sh finds the same
+// entries at every size.
 func (r Result) Points() []Point {
 	return []Point{
 		{Name: "ServiceLoad/apply/p50", NsPerOp: float64(r.P50)},

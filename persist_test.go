@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/persist"
+	"repro/internal/sim"
 )
 
 // snapshotCase is one cell of the resume property matrix: an engine mode
@@ -632,6 +633,108 @@ func FuzzOpenTrace(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzSessionOps drives two sessions of one snapshotMatrix cell through
+// the same operation string: one runs uninterrupted, the other is
+// snapshotted and resumed at every snapshot op. Each byte is one op, its
+// low three bits the kind and the rest the bin: add(bin), addRandom,
+// remove(bin), removeRandom, a short RunFor, RunUntilPerfect, and
+// (kinds 6 and 7) snapshot→ResumeSession. After every op both sessions hold the same
+// loads, M is adds minus removes, the loads are non-negative and sum to
+// M, and the engine's cached statistics pass Validate; at the end both
+// snapshots are byte-equal.
+func FuzzSessionOps(f *testing.F) {
+	const n = 16
+	cells := snapshotMatrix()
+	for i := range cells {
+		f.Add(uint8(i), uint64(i)+1, []byte{
+			0, 1, 1, 8 * 3, 1, 1, 1, 1, 4, 6, 2, 3, 4, 1, 8 * 5, 5, 6, 1, 3, 4, 6,
+		})
+	}
+	f.Fuzz(func(t *testing.T, cell uint8, seed uint64, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		tc := cells[int(cell)%len(cells)]
+		whole := newTestSession(t, n, seed, tc.opts...)
+		resumed := newTestSession(t, n, seed, tc.opts...)
+		m := 0
+		for k, op := range ops {
+			bin := int(op>>3) % n
+			var errs [2]error
+			for j, s := range []*Session{whole, resumed} {
+				switch op & 7 {
+				case 0:
+					errs[j] = s.AddBall(bin)
+				case 1:
+					s.AddBallRandom()
+				case 2:
+					errs[j] = s.RemoveBall(bin)
+				case 3:
+					_, errs[j] = s.RemoveRandomBall()
+				case 4:
+					errs[j] = s.RunFor(0.25)
+				case 5:
+					_, errs[j] = s.RunUntilPerfect(100_000)
+				default:
+					if j == 1 {
+						r, err := ResumeSession(bytes.NewReader(sessionSnapshotBytes(t, s)))
+						if err != nil {
+							t.Fatalf("op %d: resume: %v", k, err)
+						}
+						resumed = r
+					}
+				}
+			}
+			if (errs[0] == nil) != (errs[1] == nil) {
+				t.Fatalf("op %d: errors differ: %v vs %v", k, errs[0], errs[1])
+			}
+			if errs[0] == nil {
+				switch op & 7 {
+				case 0, 1:
+					m++
+				case 2, 3:
+					m--
+				}
+			}
+			for j, s := range []*Session{whole, resumed} {
+				loads, sum := s.Loads(), 0
+				for _, l := range loads {
+					if l < 0 {
+						t.Fatalf("op %d, session %d: negative load in %v", k, j, loads)
+					}
+					sum += l
+				}
+				if s.M() != m || sum != m {
+					t.Fatalf("op %d, session %d: M = %d, loads sum to %d, want %d", k, j, s.M(), sum, m)
+				}
+				if err := validateEngine(s); err != nil {
+					t.Fatalf("op %d, session %d: %v", k, j, err)
+				}
+			}
+			if a, b := whole.Loads(), resumed.Loads(); fmt.Sprint(a) != fmt.Sprint(b) {
+				t.Fatalf("op %d: loads diverged: %v vs %v", k, a, b)
+			}
+		}
+		if !bytes.Equal(sessionSnapshotBytes(t, whole), sessionSnapshotBytes(t, resumed)) {
+			t.Fatal("resumed session's snapshot differs from the uninterrupted one")
+		}
+	})
+}
+
+// validateEngine recomputes the session engine's cached statistics from
+// its loads and compares.
+func validateEngine(s *Session) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch e := s.engine.(type) {
+	case *sim.Engine:
+		return e.Cfg().Validate()
+	case *sim.Sharded:
+		return e.Validate()
+	}
+	return fmt.Errorf("no validator for %T", s.engine)
 }
 
 // removedModeArtifact is a well-framed artifact that names the removed

@@ -354,6 +354,34 @@ func TestSessionChurn(t *testing.T) {
 	}
 }
 
+// TestRunUntilPerfectHugeBudget: the budget is relative to the session's
+// running activation counter, and a huge one must saturate rather than
+// wrap to a negative cap that the engine reads as its absolute default
+// (which a long-lived session is already past). Jump mode is the one
+// that gets past 10⁹ activations in test time; the cap is shared by
+// every mode.
+func TestRunUntilPerfectHugeBudget(t *testing.T) {
+	s := newTestSession(t, 64, 3, WithSessionEngineMode(JumpEngine))
+	for i := 0; i < 4096; i++ {
+		s.AddBallRandom()
+	}
+	if err := s.RunFor(1e6); err != nil {
+		t.Fatal(err)
+	}
+	if s.Activations() <= 1_000_000_000 {
+		t.Fatalf("session at %d activations, want past the default cap", s.Activations())
+	}
+	for i := 0; i < 200; i++ {
+		if err := s.AddBall(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ok, err := s.RunUntilPerfect(math.MaxInt64)
+	if err != nil || !ok {
+		t.Fatalf("RunUntilPerfect(MaxInt64) = %v, %v at disc %g", ok, err, s.Disc())
+	}
+}
+
 func TestSessionErrors(t *testing.T) {
 	s := newTestSession(t, 2, 1)
 	if err := s.AddBall(5); err == nil {

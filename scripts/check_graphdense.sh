@@ -1,28 +1,32 @@
 #!/usr/bin/env bash
-# check_graphdense.sh asserts the PR 10 hybrid-sampler floor on a bench
-# JSON file (bench.sh output): on the dense random-regular end-game
-# (BenchmarkGraphDense), the rejection-within-blocks jump engine must be
-# at least <min-ratio> times faster than the direct engine by ns/op. If
-# that floor breaks, the hybrid has stopped paying for its bookkeeping
-# and dense graph runs would be better off on the per-activation path.
+# check_graphdense.sh asserts the hybrid-sampler floor on `go test -bench`
+# text output: on the dense random-regular end-game (BenchmarkGraphDense),
+# the rejection-within-blocks jump engine must be at least <min-ratio>
+# times faster than the direct engine by ns/op. If that floor breaks, the
+# hybrid has stopped paying for its bookkeeping and dense graph runs would
+# be better off on the per-activation path.
 #
-# Usage: scripts/check_graphdense.sh <file.json> [min-ratio]
-#   e.g. scripts/check_graphdense.sh /tmp/bench-smoke.json 5.0
+# Usage: scripts/check_graphdense.sh <bench-output.txt> [min-ratio]
+#   e.g. go test -run '^$' -bench . -benchtime 1x ./... | tee bench.txt
+#        scripts/check_graphdense.sh bench.txt 5.0
 set -euo pipefail
-cd "$(dirname "$0")/.."
 
-file=${1:?usage: check_graphdense.sh <file.json> [min-ratio]}
+file=${1:?usage: check_graphdense.sh <bench-output.txt> [min-ratio]}
 min=${2:-5.0}
 
+# ns_of prints the ns/op of one benchmark line; the name carries a
+# -GOMAXPROCS suffix unless GOMAXPROCS is 1.
 ns_of() {
-  grep -o "\"name\": *\"$1\"[^}]*" "$file" |
-    sed -n 's/.*"ns_per_op": *\([0-9.eE+-]*\).*/\1/p' | head -n 1
+  awk -v name="BenchmarkGraphDense/random-16-regular/$1" '
+    $1 ~ "^" name "(-[0-9]+)?$" {
+      for (i = 3; i <= NF; i++) if ($i == "ns/op") { print $(i - 1); exit }
+    }' "$file"
 }
 
-direct=$(ns_of 'BenchmarkGraphDense/random-16-regular/direct')
-hybrid=$(ns_of 'BenchmarkGraphDense/random-16-regular/jump-hybrid')
+direct=$(ns_of direct)
+hybrid=$(ns_of jump-hybrid)
 if [ -z "$direct" ] || [ -z "$hybrid" ]; then
-  echo "check_graphdense.sh: missing BenchmarkGraphDense direct/jump-hybrid entries in $file" >&2
+  echo "check_graphdense.sh: missing BenchmarkGraphDense direct/jump-hybrid lines in $file" >&2
   exit 1
 fi
 ratio=$(awk -v d="$direct" -v h="$hybrid" 'BEGIN { printf "%.2f", d / h }')

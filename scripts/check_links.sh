@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 
 files=("$@")
 if [ ${#files[@]} -eq 0 ]; then
-  files=(README.md ROADMAP.md cmd/README.md cmd/rlsd/README.md internal/service/README.md internal/persist/README.md)
+  files=(README.md ROADMAP.md cmd/README.md cmd/rlsd/README.md internal/service/README.md internal/persist/README.md rlsbench/README.md)
 fi
 
 fail=0

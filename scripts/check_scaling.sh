@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # check_scaling.sh asserts a speedup floor on one cell of a scaling-study
-# JSON file (rlsweep -scaling -scalingjson, or the Scaling* entries bench.sh
-# merges into BENCH_PR*.json). CI uses it as the multi-core regression
-# gate: on the 4-vCPU hosted runners, dense sharded-P4 must at least beat
-# sharded-P1 — if that floor breaks, the parallel engine has stopped
-# paying for its own barriers.
+# JSON file (rlsweep -scaling -scalingjson). CI uses it as the multi-core
+# regression gate: on the 4-vCPU hosted runners, dense sharded-P4 must at
+# least beat sharded-P1 — if that floor breaks, the parallel engine has
+# stopped paying for its own barriers.
 #
 # Usage: scripts/check_scaling.sh <file.json> <entry-name> <min-speedup>
 #   e.g. scripts/check_scaling.sh scaling.json ScalingDense/sharded/P4 1.0

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # check_service.sh gates the multi-tenant service load study (rlsweep
-# -serviceload -sljson, or the ServiceLoad* entries bench.sh merges into
-# BENCH_PR*.json). CI uses it as the serving regression gate: the daemon
-# must sustain the offered load with ZERO dropped or errored events, and
-# the event→apply p99 scraped from its own /metrics must stay under the
-# ceiling — if either breaks, a tenant queue, the rate limiter, or the
-# applier loop has regressed.
+# -serviceload -sljson). CI uses it as the serving regression gate: the
+# daemon must sustain the offered load with ZERO dropped or errored
+# events, and the event→apply p99 scraped from its own /metrics must stay
+# under the ceiling — if either breaks, a tenant queue, the rate limiter,
+# or the applier loop has regressed.
 #
 # Usage: scripts/check_service.sh <file.json> <max-p99-ms>
 #   e.g. scripts/check_service.sh service.json 250

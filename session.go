@@ -2,6 +2,7 @@ package rls
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/loadvec"
@@ -269,7 +270,7 @@ func (s *Session) RunFor(d float64) error {
 	// The budget is relative to the running activation counter: the engine
 	// persists for the session lifetime, so an absolute cap would starve
 	// long sessions.
-	s.engine.Run(sim.UntilTime(s.engine.Time()+d), s.engine.Activations()+sim.DefaultActivationBudget)
+	s.engine.Run(sim.UntilTime(s.engine.Time()+d), s.capFrom(sim.DefaultActivationBudget))
 	return nil
 }
 
@@ -287,6 +288,18 @@ func (s *Session) RunUntilPerfect(budget int64) (bool, error) {
 	}
 	// Relative to the running counter, like RunFor: an absolute cap would
 	// starve sessions whose persistent engine has run long already.
-	res := s.engine.Run(sim.UntilPerfect(), s.engine.Activations()+budget)
+	res := s.engine.Run(sim.UntilPerfect(), s.capFrom(budget))
 	return res.Stopped, nil
+}
+
+// capFrom returns the absolute activation cap that allows budget more
+// activations, saturating at math.MaxInt64: a sum that wrapped negative
+// would read as the engine's absolute default cap, which a long-lived
+// session may already be past.
+func (s *Session) capFrom(budget int64) int64 {
+	acts := s.engine.Activations()
+	if budget > math.MaxInt64-acts {
+		return math.MaxInt64
+	}
+	return acts + budget
 }
